@@ -1,6 +1,6 @@
 // CH-benCHmark demo: HTAP under one roof. TPC-C terminals run transactions
 // and feed fresh orders into the TPC-H tables while Q1/Q6/Q12/Q14 run
-// morsel-parallel over the same snapshot-consistent data and the adaptive
+// morsel-parallel over the same snapshot-consistent data and the
 // TransformPipeline freezes cold blocks in the background. Every sampled
 // analytical answer is cross-checked bit-exactly against a scalar oracle in
 // the same snapshot.
@@ -56,10 +56,8 @@ int main(int argc, char **argv) {
   std::printf("freshness: %lu freeze-lag samples, p50 %.1f ms, p95 %.1f ms\n",
               static_cast<unsigned long>(result.freeze_lag_samples),
               result.freeze_lag_p50_us / 1000.0, result.freeze_lag_p95_us / 1000.0);
-  std::printf("transform: %lu passes froze %lu blocks (%.1f%% of TPC-H blocks), "
-              "final period %lld ms\n",
+  std::printf("transform: %lu passes froze %lu blocks (%.1f%% of TPC-H blocks)\n",
               static_cast<unsigned long>(result.transform_passes),
-              static_cast<unsigned long>(result.blocks_frozen), result.frozen_pct,
-              static_cast<long long>(result.final_period.count()));
+              static_cast<unsigned long>(result.blocks_frozen), result.frozen_pct);
   return result.BitExact() ? 0 : 1;
 }

@@ -20,12 +20,14 @@ export MAINLINE_F17_THREADS="${MAINLINE_F17_THREADS:-1,2,4,8}"
 export MAINLINE_F18_THREADS="${MAINLINE_F18_THREADS:-1,2,4,8}"
 export MAINLINE_F19_THREADS="${MAINLINE_F19_THREADS:-1,2,4,8}"
 
-# figure20's HTAP windows: record the shape explicitly so the snapshot is
-# reproducible (terminal count, window length, and analytical scale).
+# figure20's HTAP window: record the shape explicitly so the snapshot is
+# reproducible (terminal count, window length, analytical scale, and the
+# transform period).
 export MAINLINE_F20_TERMINALS="${MAINLINE_F20_TERMINALS:-4}"
 export MAINLINE_F20_QUERY_WORKERS="${MAINLINE_F20_QUERY_WORKERS:-2}"
 export MAINLINE_F20_SECONDS="${MAINLINE_F20_SECONDS:-3}"
 export MAINLINE_F20_ROWS="${MAINLINE_F20_ROWS:-300000}"
+export MAINLINE_F20_PERIOD_MS="${MAINLINE_F20_PERIOD_MS:-10}"
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
     -DCMAKE_BUILD_TYPE=Release \

@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
 
 #include "arrowlite/io.h"
 #include "catalog/schema.h"
-#include "common/macros.h"
 #include "catalog/sql_table.h"
 #include "transaction/transaction_manager.h"
 
@@ -46,8 +48,15 @@ class ClientBuffer final : public arrowlite::ByteSink {
   explicit ClientBuffer(uint64_t capacity)
       : data_(std::make_unique<byte[]>(capacity)), capacity_(capacity) {}
 
+  /// Overflow aborts in every build: an undersized buffer would otherwise
+  /// be overrun on the heap.
   void Write(const byte *data, uint64_t size) override {
-    MAINLINE_ASSERT(size_ + size <= capacity_, "client buffer overflow");
+    if (size > capacity_ - size_) {
+      std::fprintf(stderr, "FATAL: client buffer overflow (%llu + %llu > %llu bytes)\n",
+                   static_cast<unsigned long long>(size_), static_cast<unsigned long long>(size),
+                   static_cast<unsigned long long>(capacity_));
+      std::abort();
+    }
     std::memcpy(data_.get() + size_, data, size);
     size_ += size;
   }

@@ -3,7 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/typedefs.h"
 #include "storage/block_layout.h"
@@ -13,10 +17,21 @@
 
 namespace mainline::logging {
 
+namespace {
+/// Fail-stop on a log I/O error, in every build: once a write or fsync has
+/// failed, what reached the disk is unknown, so no commit after it may be
+/// acknowledged. Called before any durability callback of the batch runs.
+[[noreturn]] void LogIoFailure(const char *operation, const std::string &path) {
+  std::fprintf(stderr, "FATAL: log %s failed on \"%s\": %s\n", operation, path.c_str(),
+               std::strerror(errno));
+  std::abort();
+}
+}  // namespace
+
 LogManager::LogManager(std::string log_file_path)
     : log_file_path_(std::move(log_file_path)) {
   fd_ = open(log_file_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  MAINLINE_ASSERT(fd_ >= 0, "failed to open log file");
+  if (fd_ < 0) LogIoFailure("open", log_file_path_);
 }
 
 LogManager::~LogManager() {
@@ -159,15 +174,19 @@ void LogManager::SerializeRecord(const LogRecord &record) {
 }
 
 void LogManager::FlushAndSync() {
-  if (!out_buffer_.empty()) {
-    ssize_t written = write(fd_, out_buffer_.data(), out_buffer_.size());
-    MAINLINE_ASSERT(written == static_cast<ssize_t>(out_buffer_.size()), "short write to log");
-    (void)written;
-    // relaxed: same as records_written_ — a monitoring tally, no ordering.
-    bytes_written_.fetch_add(out_buffer_.size(), std::memory_order_relaxed);
-    out_buffer_.clear();
+  // write() may return short or be interrupted; resume until every byte is
+  // handed to the kernel.
+  size_t offset = 0;
+  while (offset < out_buffer_.size()) {
+    const ssize_t written = write(fd_, out_buffer_.data() + offset, out_buffer_.size() - offset);
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) LogIoFailure("write", log_file_path_);
+    offset += static_cast<size_t>(written);
   }
-  fsync(fd_);
+  // relaxed: same as records_written_ — a monitoring tally, no ordering.
+  bytes_written_.fetch_add(out_buffer_.size(), std::memory_order_relaxed);
+  out_buffer_.clear();
+  if (fsync(fd_) != 0) LogIoFailure("fsync", log_file_path_);
 }
 
 }  // namespace mainline::logging

@@ -77,26 +77,13 @@ uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
 
 void TransformPipeline::Run() {
   while (run_.load(std::memory_order_acquire)) {
-    const common::Timer pass_timer;
-    const uint32_t frozen = RunOnce();
-    std::chrono::milliseconds delay{0};
-    if (policy_.has_value()) {
-      delay = policy_->OnPassComplete(
-          {observer_->WatchedBlocks(), pass_timer.Elapsed<>(), frozen});
-      // relaxed: reporting only — CurrentPeriod is a gauge-style reading.
-      period_ms_.store(delay.count(), std::memory_order_relaxed);
-    } else {
-      // relaxed: fixed value written once by Start before the spawn; the
-      // load is for symmetry with the adaptive path.
-      delay = std::chrono::milliseconds(period_ms_.load(std::memory_order_relaxed));
-    }
+    RunOnce();
     common::MutexGuard guard(&sleep_mutex_);
     // Deliberately not a predicate loop: `wake_` only cuts the sleep short
-    // for shutdown, and a spurious wakeup merely runs the next pass early —
-    // harmless to the cadence heuristic. What matters is that the wake_
-    // check and the wait are under one mutex, so Stop's notify cannot land
-    // between them and be lost.
-    if (!wake_) sleep_cv_.WaitFor(&guard, delay);
+    // for shutdown, and a spurious wakeup merely runs the next pass early.
+    // What matters is that the wake_ check and the wait are under one
+    // mutex, so Stop's notify cannot land between them and be lost.
+    if (!wake_) sleep_cv_.WaitFor(&guard, period_);
   }
 }
 
@@ -104,23 +91,7 @@ void TransformPipeline::Start(std::chrono::milliseconds period) {
   // ordering: seq_cst exchange on the once-per-lifetime start path — the
   // full fence is free here and exactly one caller observes the transition.
   if (run_.exchange(true)) return;
-  policy_.reset();
-  // relaxed: published to the worker by the std::thread constructor below.
-  period_ms_.store(period.count(), std::memory_order_relaxed);
-  {
-    common::MutexGuard guard(&sleep_mutex_);
-    wake_ = false;
-  }
-  worker_ = std::thread([this] { Run(); });
-}
-
-void TransformPipeline::Start(const FreezePolicy::Config &policy) {
-  // ordering: seq_cst exchange on the once-per-lifetime start path — the
-  // full fence is free here and exactly one caller observes the transition.
-  if (run_.exchange(true)) return;
-  policy_.emplace(policy);
-  // relaxed: published to the worker by the std::thread constructor below.
-  period_ms_.store(policy_->CurrentPeriod().count(), std::memory_order_relaxed);
+  period_ = period;
   {
     common::MutexGuard guard(&sleep_mutex_);
     wake_ = false;

@@ -233,11 +233,7 @@ Result ChBenchHarness::Run() {
     pipeline.EnqueueTable(&lineitem_->UnderlyingTable());
     pipeline.EnqueueTable(&orders_->UnderlyingTable());
     pipeline.EnqueueTable(&part_->UnderlyingTable());
-    if (config_.adaptive) {
-      pipeline.Start(config_.policy);
-    } else {
-      pipeline.Start(config_.fixed_period);
-    }
+    pipeline.Start(config_.transform_period);
 
     std::atomic<bool> stop{false};
     common::WorkerPool terminal_pool(config_.terminals);
@@ -268,7 +264,6 @@ Result ChBenchHarness::Run() {
     stop.store(true, std::memory_order_release);
     terminal_pool.WaitUntilAllFinished();
     pipeline.Stop();
-    result.final_period = pipeline.CurrentPeriod();
     result.queue_depth_end = static_cast<int64_t>(observer.WatchedBlocks());
     gc_->SetAccessObserver(nullptr);
   }

@@ -14,7 +14,6 @@
 #include "gc/garbage_collector.h"
 #include "metrics/metrics_registry.h"
 #include "transaction/transaction_manager.h"
-#include "transform/freeze_policy.h"
 #include "workload/tpcc/tpcc_db.h"
 
 namespace mainline::workload::chbench {
@@ -52,12 +51,8 @@ struct Config {
   /// Blocks per compaction group.
   uint32_t group_size = 8;
 
-  /// Pipeline cadence: feedback-controlled (`policy`) or fixed. The fixed
-  /// default is deliberately the kind of uncalibrated guess a fixed cadence
-  /// forces on operators — the bench compares the controller against it.
-  bool adaptive = true;
-  std::chrono::milliseconds fixed_period{100};
-  transform::FreezePolicy::Config policy;
+  /// Background transform cadence (TransformPipeline::Start's period).
+  std::chrono::milliseconds transform_period{10};
 };
 
 /// Latency and oracle outcomes of one analytical query over a window.
@@ -100,7 +95,6 @@ struct Result {
   int64_t queue_depth_max_first_half = 0;
   int64_t queue_depth_max_second_half = 0;
   int64_t queue_depth_end = 0;
-  std::chrono::milliseconds final_period{0};
 
   /// End-of-window frozen coverage over the analytical tables (%).
   double frozen_pct = 0;
@@ -116,11 +110,11 @@ struct Result {
 ///
 /// Run() is synchronous and owns all transient machinery for its window —
 /// terminal tasks on a WorkerPool, a query pool, the GC thread, and a fresh
-/// observer + pipeline — so back-to-back windows (fixed cadence, then
-/// adaptive) measure on identical wiring. The coordinator thread drives the
-/// analytics loop itself: each sample begins one transaction, runs the plan
-/// morsel-parallel, periodically re-runs the scalar oracle *in that same
-/// transaction*, and demands bit-equality. Under concurrent writers this is
+/// observer + pipeline — so back-to-back windows measure on identical
+/// wiring. The coordinator thread drives the analytics loop itself: each
+/// sample begins one transaction, runs the plan morsel-parallel,
+/// periodically re-runs the scalar oracle *in that same transaction*, and
+/// demands bit-equality. Under concurrent writers this is
 /// the strongest correctness statement the engine makes: whatever the
 /// terminals are doing, a snapshot's answer is exact.
 class ChBenchHarness {

@@ -79,28 +79,13 @@ class ChBenchTest : public ::testing::Test {
   gc::GarbageCollector gc_;
 };
 
-TEST_F(ChBenchTest, AdaptiveWindowIsBitExactUnderConcurrency) {
-  Config config = TinyConfig();
-  config.adaptive = true;
-  ChBenchHarness harness(&catalog_, &txn_manager_, &gc_, config);
-  harness.Setup();
-  const Result result = harness.Run();
-  ExpectWindowIsSound(result);
-
-  // The controller's last word stays inside its configured band.
-  EXPECT_GE(result.final_period, config.policy.min_period);
-  EXPECT_LE(result.final_period, config.policy.max_period);
-}
-
 TEST_F(ChBenchTest, FixedCadenceWindowIsBitExactUnderConcurrency) {
   Config config = TinyConfig();
-  config.adaptive = false;
-  config.fixed_period = std::chrono::milliseconds(5);
+  config.transform_period = std::chrono::milliseconds(5);
   ChBenchHarness harness(&catalog_, &txn_manager_, &gc_, config);
   harness.Setup();
   const Result result = harness.Run();
   ExpectWindowIsSound(result);
-  EXPECT_EQ(result.final_period, config.fixed_period);
 }
 
 TEST_F(ChBenchTest, SetupRaisesWarehousesToTerminalCountAndFeedKeysDontCollide) {

@@ -1,4 +1,9 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
 
 #include "catalog/catalog.h"
 #include "export/protocols.h"
@@ -118,6 +123,26 @@ TEST_P(ExportTest, FlightDeliversSameDataAsRdmaPathAndWire) {
   // the framed IPC stream.
   EXPECT_LE(rdma_result.wire_bytes, flight_result.wire_bytes);
   gc_.FullGC();
+}
+
+/// Writing past a ClientBuffer's capacity must abort in every build type,
+/// not overrun the heap.
+TEST(ClientBufferTest, OverflowAbortsInEveryBuild) {
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const rlimit no_core{0, 0};
+    setrlimit(RLIMIT_CORE, &no_core);
+    exporter::ClientBuffer client(8);
+    const byte payload[16] = {};
+    client.Write(payload, 4);
+    client.Write(payload, sizeof(payload));
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT)
+      << "the child must die by SIGABRT (wait status " << status << ")";
 }
 
 INSTANTIATE_TEST_SUITE_P(HotAndFrozen, ExportTest, ::testing::Bool(),

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <string>
 
@@ -62,6 +66,59 @@ TEST(LoggingTest, CommitCallbackFiresAfterFlush) {
   log_manager.ForceFlush();
   EXPECT_EQ(called.load(), 2);
   EXPECT_EQ(log_manager.BytesWritten(), bytes_before);
+}
+
+/// A log that cannot be written must stop the process before any commit in
+/// the failed batch is acknowledged, in every build type. /dev/full accepts
+/// the open and fails every write with ENOSPC; the child's durability
+/// callback reports through a pipe, so an acknowledgement would be visible
+/// to the parent even though the child then dies.
+TEST(LoggingTest, FailedLogWriteAbortsBeforeAcknowledgingCommit) {
+  int ack_pipe[2];
+  ASSERT_EQ(pipe(ack_pipe), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    close(ack_pipe[0]);
+    const rlimit no_core{0, 0};
+    setrlimit(RLIMIT_CORE, &no_core);
+    storage::BlockStore block_store(100, 10);
+    storage::RecordBufferSegmentPool buffer_pool(100000, 100);
+    catalog::Catalog catalog(&block_store);
+    logging::LogManager log_manager("/dev/full");
+    transaction::TransactionManager logged(&buffer_pool, true, &log_manager);
+    log_manager.SetTableResolver([&](catalog::table_oid_t oid) {
+      return &catalog.GetTable(oid)->UnderlyingTable();
+    });
+    auto *table = catalog.GetTable(catalog.CreateTable("t", TestSchema()));
+    const auto initializer = table->FullInitializer();
+    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+    auto *txn = logged.BeginTransaction();
+    storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
+    workload::Set<int64_t>(row, 0, 1);
+    row->SetNull(1);
+    workload::Set<int32_t>(row, 2, 2);
+    table->Insert(txn, *row);
+    logged.Commit(
+        txn,
+        [](void *arg) {
+          const char ack = 'y';
+          (void)!write(*static_cast<int *>(arg), &ack, 1);
+        },
+        &ack_pipe[1]);
+    log_manager.ForceFlush();
+    _exit(0);
+  }
+
+  close(ack_pipe[1]);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  char ack = 0;
+  const ssize_t acked = read(ack_pipe[0], &ack, 1);
+  close(ack_pipe[0]);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT)
+      << "the child must die by SIGABRT (wait status " << status << ")";
+  EXPECT_EQ(acked, 0) << "a commit whose log write failed was acknowledged";
 }
 
 TEST(LoggingTest, RecoveryRebuildsTables) {

@@ -14,7 +14,6 @@
 #include "transform/access_observer.h"
 #include "transform/arrow_reader.h"
 #include "transform/block_transformer.h"
-#include "transform/freeze_policy.h"
 #include "transform/transform_pipeline.h"
 #include "workload/row_util.h"
 
@@ -451,146 +450,6 @@ TEST_P(TransformPipelineTest, StopReturnsPromptlyMidSleep) {
   const auto stop_took = std::chrono::steady_clock::now() - stop_begin;
   EXPECT_LT(stop_took, std::chrono::seconds(2))
       << "Stop() must interrupt the sleep, not wait out the period";
-}
-
-/// The adaptive Start overload drives freezing end to end and leaves the
-/// controller's period inside its configured band.
-TEST_P(TransformPipelineTest, AdaptiveStartFreezesInBackground) {
-  Populate(1000);
-  storage::DataTable &dt = table_->UnderlyingTable();
-  gc_.FullGC();
-
-  transform::FreezePolicy::Config policy;
-  policy.min_period = std::chrono::milliseconds(1);
-  policy.max_period = std::chrono::milliseconds(20);
-  policy.initial_period = std::chrono::milliseconds(1);
-  pipeline_.Start(policy);
-  pipeline_.EnqueueTable(&dt);
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (dt.Blocks().front()->controller.GetState() == BlockState::kFrozen) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  pipeline_.Stop();
-  EXPECT_EQ(dt.Blocks().front()->controller.GetState(), BlockState::kFrozen);
-  EXPECT_GE(pipeline_.CurrentPeriod(), policy.min_period);
-  EXPECT_LE(pipeline_.CurrentPeriod(), policy.max_period);
-  gc_.FullGC();
-}
-
-/// Deterministic FreezePolicy unit coverage: the controller is pure
-/// state-in/state-out, so synthetic feedback sequences pin its behavior
-/// exactly — no threads, no clocks.
-TEST(FreezePolicyTest, ConvergesToMinUnderSustainedBacklog) {
-  transform::FreezePolicy::Config config;
-  config.min_period = std::chrono::milliseconds(1);
-  config.max_period = std::chrono::milliseconds(200);
-  config.initial_period = std::chrono::milliseconds(100);
-  config.target_queue_depth = 16;
-  transform::FreezePolicy policy(config);
-  EXPECT_EQ(policy.CurrentPeriod(), config.initial_period);
-
-  // Ten passes of 10x-over-target backlog (cheap passes, so the duty-cycle
-  // floor stays at zero): each pass cuts the period by max_shrink, so the
-  // period must hit and hold the minimum.
-  std::chrono::milliseconds last{0};
-  for (int i = 0; i < 10; i++) {
-    last = policy.OnPassComplete({/*queue_depth=*/160, /*pass_us=*/0, /*blocks_frozen=*/4});
-  }
-  EXPECT_EQ(last, config.min_period);
-  EXPECT_EQ(policy.CurrentPeriod(), config.min_period);
-}
-
-TEST(FreezePolicyTest, BacksOffToMaxWhenIdle) {
-  transform::FreezePolicy::Config config;
-  config.initial_period = std::chrono::milliseconds(10);
-  config.max_period = std::chrono::milliseconds(200);
-  config.backoff = 2.0;
-  transform::FreezePolicy policy(config);
-
-  // 10 -> 20 -> 40 -> 80 -> 160 -> clamp(200): idle passes grow the period
-  // multiplicatively and the cap holds from then on.
-  const int64_t expected[] = {20, 40, 80, 160, 200, 200};
-  for (const int64_t period : expected) {
-    EXPECT_EQ(policy.OnPassComplete({0, 0, 0}).count(), period);
-  }
-}
-
-TEST(FreezePolicyTest, HoldsInsideTheBand) {
-  transform::FreezePolicy::Config config;
-  config.initial_period = std::chrono::milliseconds(50);
-  config.target_queue_depth = 16;
-  transform::FreezePolicy policy(config);
-
-  // Neither backlogged (depth <= target) nor idle (work happened): hold.
-  for (int i = 0; i < 5; i++) {
-    EXPECT_EQ(policy.OnPassComplete({/*queue_depth=*/8, /*pass_us=*/1000,
-                                     /*blocks_frozen=*/2})
-                  .count(),
-              50);
-  }
-  // A non-empty watch set with nothing frozen is "waiting", not "idle":
-  // the period must hold rather than back off while blocks cool.
-  EXPECT_EQ(policy.OnPassComplete({/*queue_depth=*/8, /*pass_us=*/1000,
-                                   /*blocks_frozen=*/0})
-                .count(),
-            50);
-}
-
-TEST(FreezePolicyTest, ShrinkIsProportionalAndBounded) {
-  transform::FreezePolicy::Config config;
-  config.initial_period = std::chrono::milliseconds(100);
-  config.target_queue_depth = 16;
-  config.max_shrink = 0.25;
-  transform::FreezePolicy policy(config);
-
-  // Twice the target halves the period: 100 -> 50.
-  EXPECT_EQ(policy.OnPassComplete({32, 0, 1}).count(), 50);
-  // A huge backlog is still bounded by max_shrink: 50 -> 12.5 (not 50/1000).
-  EXPECT_EQ(policy.OnPassComplete({16000, 0, 1}).count(), 13);  // lround(12.5)
-}
-
-TEST(FreezePolicyTest, DutyCycleFloorProtectsWriters) {
-  transform::FreezePolicy::Config config;
-  config.initial_period = std::chrono::milliseconds(10);
-  config.max_period = std::chrono::milliseconds(500);
-  config.target_queue_depth = 16;
-  config.max_duty_cycle = 0.5;
-  transform::FreezePolicy policy(config);
-
-  // Backlog wants to shrink the period, but a 100 ms pass at 50% duty cycle
-  // demands at least 100 ms of sleep — the floor wins.
-  EXPECT_EQ(policy.OnPassComplete({160, 100000, 8}).count(), 100);
-  // A cheap pass lifts the floor and the proportional controller resumes.
-  EXPECT_EQ(policy.OnPassComplete({32, 1000, 8}).count(), 50);
-}
-
-TEST(FreezePolicyTest, AllZeroFeedbackAndBrokenConfigStayFinite) {
-  // A config with every knob out of range repairs to usable defaults...
-  transform::FreezePolicy::Config broken;
-  broken.min_period = std::chrono::milliseconds(-5);
-  broken.max_period = std::chrono::milliseconds(-10);
-  broken.initial_period = std::chrono::milliseconds(-1);
-  broken.backoff = 0.5;
-  broken.max_duty_cycle = 0.0;  // would divide by zero in the floor
-  broken.max_shrink = 2.0;
-  transform::FreezePolicy policy(broken);
-  const transform::FreezePolicy::Config &repaired = policy.GetConfig();
-  EXPECT_GE(repaired.min_period.count(), 1);
-  EXPECT_GE(repaired.max_period, repaired.min_period);
-  EXPECT_GT(repaired.backoff, 1.0);
-  EXPECT_GT(repaired.max_duty_cycle, 0.0);
-  EXPECT_LE(repaired.max_duty_cycle, 1.0);
-  EXPECT_GT(repaired.max_shrink, 0.0);
-  EXPECT_LT(repaired.max_shrink, 1.0);
-
-  // ...and the empty pass (all zeros: no queue, no time, no work) never
-  // divides by zero; a long all-zero sequence stays inside the band.
-  for (int i = 0; i < 100; i++) {
-    const auto period = policy.OnPassComplete({0, 0, 0});
-    EXPECT_GE(period, repaired.min_period);
-    EXPECT_LE(period, repaired.max_period);
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TransformPipelineTest,
