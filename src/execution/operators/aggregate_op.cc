@@ -4,302 +4,310 @@
 #include "common/selection_vector.h"
 #include "execution/operators/aggregate_op.h"
 
-#include <algorithm>
 #include <array>
+#include <limits>
+#include <map>
 #include <string_view>
 
 namespace mainline::execution::op {
+
+namespace {
+
+/// Bit 63 of a key word marks a hashed long string (see KeyWord).
+constexpr uint64_t kLongTag = uint64_t{1} << 63;
+/// A dictionary code whose word is not computed yet; no KeyWord equals it.
+constexpr uint64_t kUnresolved = ~uint64_t{0};
+constexpr uint32_t kEmpty = ~uint32_t{0};
+
+/// One key column value as one integer. A string of at most 7 bytes is
+/// packed with its length in the top byte, so "A", "AA" and "A\0" all
+/// differ and equal words mean equal strings. A longer string becomes a
+/// tagged hash, which a lookup must confirm by comparing the strings.
+uint64_t KeyWord(std::string_view s) {
+  if (s.size() > 7) return kLongTag | (std::hash<std::string_view>{}(s) >> 8);
+  uint64_t word = uint64_t{s.size()} << 56;
+  for (size_t i = 0; i < s.size(); i++) {
+    word |= uint64_t{static_cast<unsigned char>(s[i])} << (8 * i);
+  }
+  return word;
+}
+
+struct Slot {
+  uint64_t w0, w1;
+  uint32_t gid;
+};
+
+/// Per-thread scratch, reused across chunks: the probed rows, pass 1's group
+/// ids and hash slots, and each key column's dictionary-code words.
+struct Scratch {
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> gids;
+  std::vector<Slot> slots;
+  std::array<std::vector<uint64_t>, 2> dict_words;
+};
+thread_local Scratch tls;
+
+/// Pass 1's lookup: linear probing over key-word pairs, starting at 64 slots
+/// for each chunk and doubling at half load.
+class GroupTable {
+ public:
+  explicit GroupTable(std::vector<Slot> *slots) : slots_(slots) {
+    slots_->assign(64, Slot{0, 0, kEmpty});
+  }
+
+  /// The slot holding (w0, w1) — `same(gid)` confirms a hit on a long key —
+  /// or the empty slot where it belongs.
+  template <typename Same>
+  Slot *Find(uint64_t w0, uint64_t w1, Same &&same) {
+    const size_t mask = slots_->size() - 1;
+    uint64_t h = (w0 ^ (w1 * 0x9E3779B97F4A7C15ULL)) * 0xBF58476D1CE4E5B9ULL;
+    for (size_t i = (h ^ (h >> 31)) & mask;; i = (i + 1) & mask) {
+      Slot &slot = (*slots_)[i];
+      if (slot.gid == kEmpty) return &slot;
+      if (slot.w0 == w0 && slot.w1 == w1 && (((w0 | w1) & kLongTag) == 0 || same(slot.gid))) {
+        return &slot;
+      }
+    }
+  }
+
+  void Fill(Slot *slot, uint64_t w0, uint64_t w1, uint32_t gid) {
+    *slot = {w0, w1, gid};
+    if (++size_ * 2 <= slots_->size()) return;
+    std::vector<Slot> old(slots_->size() * 2, Slot{0, 0, kEmpty});
+    old.swap(*slots_);
+    for (const Slot &s : old) {
+      if (s.gid != kEmpty) *Find(s.w0, s.w1, [](uint32_t) { return false; }) = s;
+    }
+  }
+
+ private:
+  std::vector<Slot> *slots_;
+  size_t size_ = 0;
+};
+
+/// Call `f(value)` with `value(row, &x)`: false for a null row, else x = the
+/// expression at `row`. Specialised per expression form, so the row loops
+/// `f` builds carry no form dispatch and, for null-free inputs, no null test.
+template <typename F>
+void WithValue(const BoundExpr &e, F &&f) {
+  const double *a = e.a, *b = e.b, *c = e.c;
+  if (!e.NullFree()) {
+    f([&e](uint32_t r, double *x) { return !e.IsNull(r) && (*x = e.Eval(r), true); });
+    return;
+  }
+  switch (e.kind) {
+    case Expr::Kind::kColumn:
+      f([a](uint32_t r, double *x) { return *x = a[r], true; });
+      break;
+    case Expr::Kind::kMul:
+      f([a, b](uint32_t r, double *x) { return *x = a[r] * b[r], true; });
+      break;
+    case Expr::Kind::kDiscounted:
+      f([a, b](uint32_t r, double *x) { return *x = a[r] * (1.0 - b[r]), true; });
+      break;
+    case Expr::Kind::kDiscountedTaxed:
+      f([a, b, c](uint32_t r, double *x) {
+        return *x = a[r] * (1.0 - b[r]) * (1.0 + c[r]), true;
+      });
+      break;
+  }
+}
+
+/// Pass 2's loop: `step(acc, k)` for every row k in order, with `acc` that
+/// row's group accumulator. Without group ids every row is in one group, so
+/// the accumulator lives in a local (a register) and is stored once.
+template <typename Step>
+void ForEachRow(size_t n, const uint32_t *gids, AggValue *base, size_t stride, Step &&step) {
+  if (gids == nullptr) {
+    AggValue acc = *base;
+    for (size_t k = 0; k < n; k++) step(&acc, k);
+    *base = acc;
+  } else {
+    for (size_t k = 0; k < n; k++) step(&base[gids[k] * stride], k);
+  }
+}
+
+}  // namespace
 
 AggregateOp::AggregateOp(std::vector<uint16_t> group_cols, std::vector<AggSpec> aggs)
     : group_cols_(std::move(group_cols)), aggs_(std::move(aggs)) {
   MAINLINE_ASSERT(group_cols_.size() <= 2, "at most two group-by columns are supported");
   MAINLINE_ASSERT(!aggs_.empty(), "an aggregate needs at least one AggSpec");
-  for (const AggSpec &spec : aggs_) {
-    if (spec.kind == AggSpec::Kind::kSumPayload || spec.payload_gate) needs_payload_ = true;
-  }
-}
-
-AggregateOp::GroupAcc AggregateOp::NewGroup(std::vector<std::string> keys) const {
-  GroupAcc acc;
-  acc.keys = std::move(keys);
-  acc.values.resize(aggs_.size());
+  identity_.resize(aggs_.size());
   for (size_t i = 0; i < aggs_.size(); i++) {
+    if (aggs_[i].kind == AggSpec::Kind::kSumPayload || aggs_[i].payload_gate) {
+      needs_payload_ = true;
+    }
     if (aggs_[i].kind == AggSpec::Kind::kMin) {
-      acc.values[i].f64 = std::numeric_limits<double>::infinity();
+      identity_[i].f64 = std::numeric_limits<double>::infinity();
     } else if (aggs_[i].kind == AggSpec::Kind::kMax) {
-      acc.values[i].f64 = -std::numeric_limits<double>::infinity();
-    }
-  }
-  return acc;
-}
-
-/// Resolve each row's group within one block partial. Groups are created at
-/// first occurrence, so a partial's discovery order is the row/match order —
-/// the same order a scalar tuple-at-a-time pass discovers them in.
-/// Dictionary-encoded group columns resolve by code through a dense cache
-/// (code-pair addressed for two columns), touching each distinct string only
-/// once per block.
-class AggregateOp::Resolver {
- public:
-  Resolver(const AggregateOp &op, const Chunk &chunk) : op_(op) {
-    const size_t n = op.group_cols_.size();
-    if (n == 0) {
-      mode_ = Mode::kSingle;
-      return;
-    }
-    bool all_dictionary = true;
-    for (size_t i = 0; i < n; i++) {
-      cols_[i] = &chunk.batch->Column(op.group_cols_[i]);
-      if (cols_[i]->type() != arrowlite::Type::kDictionary) all_dictionary = false;
-    }
-    if (!all_dictionary) {
-      mode_ = Mode::kGeneric;
-      return;
-    }
-    codes_a_ = cols_[0]->buffer(0)->data_as<int32_t>();
-    const auto len_a = static_cast<size_t>(cols_[0]->dictionary()->length());
-    if (n == 1) {
-      mode_ = Mode::kDict1;
-      cache_.assign(len_a, -1);
-    } else {
-      mode_ = Mode::kDict2;
-      codes_b_ = cols_[1]->buffer(0)->data_as<int32_t>();
-      num_b_ = static_cast<size_t>(cols_[1]->dictionary()->length());
-      cache_.assign(len_a * num_b_, -1);
-    }
-  }
-
-  GroupAcc *FindOrAdd(Partial *partial, uint32_t row) {
-    switch (mode_) {
-      case Mode::kSingle: {
-        if (partial->empty()) partial->push_back(op_.NewGroup({}));
-        return &partial->front();
-      }
-      case Mode::kDict1: {
-        const auto code = static_cast<size_t>(codes_a_[row]);
-        int32_t g = cache_[code];
-        if (UNLIKELY(g < 0)) {
-          g = Lookup(partial, {cols_[0]->dictionary()->GetString(codes_a_[row])}, 1);
-          cache_[code] = g;
-        }
-        return &(*partial)[static_cast<size_t>(g)];
-      }
-      case Mode::kDict2: {
-        const size_t pair =
-            static_cast<size_t>(codes_a_[row]) * num_b_ + static_cast<size_t>(codes_b_[row]);
-        int32_t g = cache_[pair];
-        if (UNLIKELY(g < 0)) {
-          g = Lookup(partial,
-                     {cols_[0]->dictionary()->GetString(codes_a_[row]),
-                      cols_[1]->dictionary()->GetString(codes_b_[row])},
-                     2);
-          cache_[pair] = g;
-        }
-        return &(*partial)[static_cast<size_t>(g)];
-      }
-      case Mode::kGeneric:
-      default: {
-        // Array::GetString resolves dictionary codes itself, so mixed
-        // plain/dictionary column sets land here and still work.
-        std::array<std::string_view, 2> keys;
-        const size_t n = op_.group_cols_.size();
-        for (size_t i = 0; i < n; i++) keys[i] = cols_[i]->GetString(row);
-        return &(*partial)[static_cast<size_t>(Lookup(partial, keys, n))];
-      }
-    }
-  }
-
- private:
-  enum class Mode : uint8_t { kSingle, kDict1, kDict2, kGeneric };
-
-  /// Linear probe over the partial's groups (group counts are tiny — Q1's
-  /// six is the largest so far), appending a new group on miss.
-  int32_t Lookup(Partial *partial, std::array<std::string_view, 2> keys, size_t n) const {
-    for (size_t g = 0; g < partial->size(); g++) {
-      const GroupAcc &acc = (*partial)[g];
-      bool match = true;
-      for (size_t i = 0; i < n; i++) {
-        if (acc.keys[i] != keys[i]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return static_cast<int32_t>(g);
-    }
-    std::vector<std::string> owned;
-    owned.reserve(n);
-    for (size_t i = 0; i < n; i++) owned.emplace_back(keys[i]);
-    partial->push_back(op_.NewGroup(std::move(owned)));
-    return static_cast<int32_t>(partial->size() - 1);
-  }
-
-  const AggregateOp &op_;
-  Mode mode_ = Mode::kSingle;
-  std::array<const arrowlite::Array *, 2> cols_ = {nullptr, nullptr};
-  const int32_t *codes_a_ = nullptr;
-  const int32_t *codes_b_ = nullptr;
-  size_t num_b_ = 0;
-  std::vector<int32_t> cache_;
-};
-
-void AggregateOp::AccumulateRow(GroupAcc *acc, const std::vector<BoundExpr> &bound,
-                                uint32_t row, uint64_t payload) const {
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    const AggSpec &spec = aggs_[i];
-    AggValue *value = &acc->values[i];
-    switch (spec.kind) {
-      case AggSpec::Kind::kCount:
-        value->u64++;
-        break;
-      case AggSpec::Kind::kSumPayload:
-        value->u64 += payload;
-        break;
-      case AggSpec::Kind::kSum:
-        if (spec.payload_gate && payload == 0) break;
-        if (!bound[i].NullFree() && bound[i].IsNull(row)) break;
-        value->f64 += bound[i].Eval(row);
-        break;
-      case AggSpec::Kind::kMin: {
-        if (!bound[i].NullFree() && bound[i].IsNull(row)) break;
-        const double x = bound[i].Eval(row);
-        if (x < value->f64) value->f64 = x;
-        break;
-      }
-      case AggSpec::Kind::kMax: {
-        if (!bound[i].NullFree() && bound[i].IsNull(row)) break;
-        const double x = bound[i].Eval(row);
-        if (x > value->f64) value->f64 = x;
-        break;
-      }
+      identity_[i].f64 = -std::numeric_limits<double>::infinity();
     }
   }
 }
 
-/// The ungrouped, un-joined fast path (Q6's shape): one accumulator per
-/// aggregate, the expression form hoisted out of the row loop — the inner
-/// loops are literally the vector_ops accumulation loops the hand-fused
-/// kernels ran, so retiring those kernels costs no throughput.
-void AggregateOp::UngroupedPush(Chunk *chunk, const std::vector<BoundExpr> &bound) {
-  const common::SelectionVector &sel = chunk->sel;
-  if (sel.Empty()) return;
-  Partial *partial = &partials_[chunk->block_ordinal];
-  if (partial->empty()) partial->push_back(NewGroup({}));
-  GroupAcc *acc = &partial->front();
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    const BoundExpr &e = bound[i];
-    AggValue *value = &acc->values[i];
-    switch (aggs_[i].kind) {
-      case AggSpec::Kind::kCount:
-        value->u64 += sel.Size();
-        break;
-      case AggSpec::Kind::kSumPayload:
-        break;  // unreachable: needs_payload_ requires a probe upstream
-      case AggSpec::Kind::kSum: {
-        double acc_value = value->f64;
-        if (e.NullFree()) {
-          switch (e.kind) {
-            case Expr::Kind::kColumn:
-              for (const uint32_t row : sel) acc_value += e.a[row];
-              break;
-            case Expr::Kind::kMul:
-              for (const uint32_t row : sel) acc_value += e.a[row] * e.b[row];
-              break;
-            case Expr::Kind::kDiscounted:
-              for (const uint32_t row : sel) acc_value += e.a[row] * (1.0 - e.b[row]);
-              break;
-            case Expr::Kind::kDiscountedTaxed:
-              for (const uint32_t row : sel) {
-                acc_value += e.a[row] * (1.0 - e.b[row]) * (1.0 + e.c[row]);
-              }
-              break;
-          }
-        } else {
-          for (const uint32_t row : sel) {
-            if (!e.IsNull(row)) acc_value += e.Eval(row);
-          }
-        }
-        value->f64 = acc_value;
-        break;
-      }
-      case AggSpec::Kind::kMin:
-        for (const uint32_t row : sel) {
-          if (!e.NullFree() && e.IsNull(row)) continue;
-          const double x = e.Eval(row);
-          if (x < value->f64) value->f64 = x;
-        }
-        break;
-      case AggSpec::Kind::kMax:
-        for (const uint32_t row : sel) {
-          if (!e.NullFree() && e.IsNull(row)) continue;
-          const double x = e.Eval(row);
-          if (x > value->f64) value->f64 = x;
-        }
-        break;
-    }
+uint32_t AggregateOp::AddGroup(Partial *partial, std::vector<std::string> keys) const {
+  partial->keys.push_back(std::move(keys));
+  partial->values.insert(partial->values.end(), identity_.begin(), identity_.end());
+  return static_cast<uint32_t>(partial->keys.size() - 1);
+}
+
+/// Pass 1: gids[k] = the group of rows[k], groups created at first
+/// occurrence. Returns true when all n rows fell in one group.
+bool AggregateOp::ResolveGroups(const Chunk &chunk, const uint32_t *rows, size_t n,
+                                Partial *partial, uint32_t *gids) const {
+  const size_t num_cols = group_cols_.size();
+  std::array<const arrowlite::Array *, 2> cols = {nullptr, nullptr};
+  std::array<const int32_t *, 2> codes = {nullptr, nullptr};
+  for (size_t c = 0; c < num_cols; c++) {
+    cols[c] = &chunk.batch->Column(group_cols_[c]);
+    // Dictionary keys resolve by code, each distinct code packed once. The
+    // cache is per column and only used when no longer than the chunk, so
+    // it never grows with a product of dictionary sizes.
+    if (cols[c]->type() != arrowlite::Type::kDictionary) continue;
+    const auto len = static_cast<size_t>(cols[c]->dictionary()->length());
+    if (len > n) continue;  // Array::GetString resolves codes itself
+    codes[c] = cols[c]->buffer(0)->data_as<int32_t>();
+    tls.dict_words[c].assign(len, kUnresolved);
   }
+  const auto word = [&](size_t c, uint32_t row) {
+    if (c >= num_cols) return uint64_t{0};
+    if (codes[c] == nullptr) return KeyWord(cols[c]->GetString(row));
+    uint64_t *w = &tls.dict_words[c][static_cast<size_t>(codes[c][row])];
+    if (*w == kUnresolved) *w = KeyWord(cols[c]->dictionary()->GetString(codes[c][row]));
+    return *w;
+  };
+
+  // The table lives for one chunk, which is all of this block's rows.
+  MAINLINE_ASSERT(partial->keys.empty(), "a grouped partial takes one chunk per block");
+  GroupTable table(&tls.slots);
+  bool one_group = true;
+  for (size_t k = 0; k < n; k++) {
+    const uint32_t row = rows[k];
+    const uint64_t w0 = word(0, row), w1 = word(1, row);
+    Slot *slot = table.Find(w0, w1, [&](uint32_t g) {
+      for (size_t c = 0; c < num_cols; c++) {
+        if (partial->keys[g][c] != cols[c]->GetString(row)) return false;
+      }
+      return true;
+    });
+    uint32_t gid = slot->gid;
+    if (gid == kEmpty) {
+      std::vector<std::string> keys;
+      for (size_t c = 0; c < num_cols; c++) keys.emplace_back(cols[c]->GetString(row));
+      gid = AddGroup(partial, std::move(keys));
+      table.Fill(slot, w0, w1, gid);
+    }
+    gids[k] = gid;
+    one_group &= gids[k] == gids[0];
+  }
+  return one_group;
 }
 
 void AggregateOp::Push(Chunk *chunk) {
   MAINLINE_ASSERT(!needs_payload_ || chunk->probed,
                   "payload aggregates need a join probe upstream");
-  std::vector<BoundExpr> bound(aggs_.size());
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    if (aggs_[i].kind != AggSpec::Kind::kCount &&
-        aggs_[i].kind != AggSpec::Kind::kSumPayload) {
-      bound[i] = Bind(aggs_[i].expr, *chunk);
-    }
+  // The chunk's rows in row/match order (a probe may repeat rows).
+  const uint32_t *rows = chunk->sel.Data();
+  size_t n = chunk->sel.Size();
+  const JoinMatch *matches = chunk->matches.data();
+  if (chunk->probed) {
+    n = chunk->matches.size();
+    tls.rows.resize(n);
+    for (size_t k = 0; k < n; k++) tls.rows[k] = matches[k].row;
+    rows = tls.rows.data();
   }
-
-  if (group_cols_.empty() && !chunk->probed) {
-    UngroupedPush(chunk, bound);
-    return;
-  }
+  if (n == 0) return;
 
   Partial *partial = &partials_[chunk->block_ordinal];
-  Resolver resolver(*this, *chunk);
-  if (chunk->probed) {
-    for (const JoinMatch &match : chunk->matches) {
-      AccumulateRow(resolver.FindOrAdd(partial, match.row), bound, match.row, match.payload);
-    }
+  const uint32_t *gids = nullptr;
+  uint32_t one_gid = 0;
+  if (group_cols_.empty()) {
+    if (partial->keys.empty()) AddGroup(partial, {});
   } else {
-    for (const uint32_t row : chunk->sel) {
-      AccumulateRow(resolver.FindOrAdd(partial, row), bound, row, 0);
+    tls.gids.resize(n);
+    if (!ResolveGroups(*chunk, rows, n, partial, tls.gids.data())) gids = tls.gids.data();
+    one_gid = tls.gids[0];
+  }
+
+  // Pass 2: one loop per aggregate, over rows in order.
+  const size_t stride = aggs_.size();
+  for (size_t i = 0; i < stride; i++) {
+    const AggSpec &spec = aggs_[i];
+    AggValue *base = partial->values.data() + (gids == nullptr ? one_gid * stride : 0) + i;
+    const auto fold = [&](auto &&step) { ForEachRow(n, gids, base, stride, step); };
+    switch (spec.kind) {
+      case AggSpec::Kind::kCount:
+        fold([](AggValue *acc, size_t) { acc->u64++; });
+        break;
+      case AggSpec::Kind::kSumPayload:
+        fold([matches](AggValue *acc, size_t k) { acc->u64 += matches[k].payload; });
+        break;
+      case AggSpec::Kind::kSum:
+        WithValue(Bind(spec.expr, *chunk), [&](auto value) {
+          if (spec.payload_gate) {
+            fold([&](AggValue *acc, size_t k) {
+              double x;
+              if (matches[k].payload != 0 && value(rows[k], &x)) acc->f64 += x;
+            });
+          } else {
+            fold([&](AggValue *acc, size_t k) {
+              double x;
+              if (value(rows[k], &x)) acc->f64 += x;
+            });
+          }
+        });
+        break;
+      case AggSpec::Kind::kMin:
+        WithValue(Bind(spec.expr, *chunk), [&](auto value) {
+          fold([&](AggValue *acc, size_t k) {
+            double x;
+            if (value(rows[k], &x) && x < acc->f64) acc->f64 = x;
+          });
+        });
+        break;
+      case AggSpec::Kind::kMax:
+        WithValue(Bind(spec.expr, *chunk), [&](auto value) {
+          fold([&](AggValue *acc, size_t k) {
+            double x;
+            if (value(rows[k], &x) && x > acc->f64) acc->f64 = x;
+          });
+        });
+        break;
     }
   }
-}
-
-uint32_t AggregateOp::FindOrAddGroup(Partial *partial, const std::vector<std::string> &keys,
-                                     const AggregateOp &op) {
-  for (uint32_t g = 0; g < partial->size(); g++) {
-    if ((*partial)[g].keys == keys) return g;
-  }
-  partial->push_back(op.NewGroup(keys));
-  return static_cast<uint32_t>(partial->size() - 1);
+  // Like Chunk::Reset: one skewed join's match list must not pin the buffers.
+  if (tls.rows.capacity() > Chunk::kMaxRetainedMatches) std::vector<uint32_t>().swap(tls.rows);
+  if (tls.gids.capacity() > Chunk::kMaxRetainedMatches) std::vector<uint32_t>().swap(tls.gids);
 }
 
 void AggregateOp::Finish(common::WorkerPool *) {
   // Fold the per-block partials in block order — ONE addition per aggregate
   // per (block, group), in each partial's discovery order. Blocks with no
   // qualifying rows have no groups and contribute nothing, exactly like the
-  // scalar reference's per-block merge.
-  Partial global;
-  for (const Partial &partial : partials_) {
-    for (const GroupAcc &acc : partial) {
-      GroupAcc *dst = &global[FindOrAddGroup(&global, acc.keys, *this)];
-      for (size_t i = 0; i < aggs_.size(); i++) {
+  // scalar reference's per-block merge. The map keeps the result sorted.
+  std::map<std::vector<std::string>, std::vector<AggValue>> global;
+  const size_t stride = aggs_.size();
+  for (Partial &partial : partials_) {
+    for (size_t g = 0; g < partial.keys.size(); g++) {
+      auto [it, fresh] = global.try_emplace(std::move(partial.keys[g]));
+      if (fresh) it->second = identity_;
+      const AggValue *src = &partial.values[g * stride];
+      for (size_t i = 0; i < stride; i++) {
+        AggValue *dst = &it->second[i];
         switch (aggs_[i].kind) {
           case AggSpec::Kind::kSum:
-            dst->values[i].f64 += acc.values[i].f64;
+            dst->f64 += src[i].f64;
             break;
           case AggSpec::Kind::kCount:
           case AggSpec::Kind::kSumPayload:
-            dst->values[i].u64 += acc.values[i].u64;
+            dst->u64 += src[i].u64;
             break;
           case AggSpec::Kind::kMin:
-            if (acc.values[i].f64 < dst->values[i].f64) dst->values[i].f64 = acc.values[i].f64;
+            if (src[i].f64 < dst->f64) dst->f64 = src[i].f64;
             break;
           case AggSpec::Kind::kMax:
-            if (acc.values[i].f64 > dst->values[i].f64) dst->values[i].f64 = acc.values[i].f64;
+            if (src[i].f64 > dst->f64) dst->f64 = src[i].f64;
             break;
         }
       }
@@ -307,14 +315,10 @@ void AggregateOp::Finish(common::WorkerPool *) {
   }
   partials_.clear();
 
-  if (group_cols_.empty() && global.empty()) global.push_back(NewGroup({}));
-  std::sort(global.begin(), global.end(),
-            [](const GroupAcc &a, const GroupAcc &b) { return a.keys < b.keys; });
+  if (group_cols_.empty() && global.empty()) global.emplace(std::vector<std::string>{}, identity_);
   result_.clear();
   result_.reserve(global.size());
-  for (GroupAcc &acc : global) {
-    result_.push_back({std::move(acc.keys), std::move(acc.values)});
-  }
+  for (auto &[keys, values] : global) result_.push_back({keys, std::move(values)});
 }
 
 }  // namespace mainline::execution::op

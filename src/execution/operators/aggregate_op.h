@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,34 +28,12 @@ struct AggSpec {
   bool payload_gate = false;
 
   static AggSpec Sum(Expr expr, bool payload_gate = false) {
-    AggSpec a;
-    a.kind = Kind::kSum;
-    a.expr = expr;
-    a.payload_gate = payload_gate;
-    return a;
+    return {Kind::kSum, expr, payload_gate};
   }
-  static AggSpec Count() {
-    AggSpec a;
-    a.kind = Kind::kCount;
-    return a;
-  }
-  static AggSpec SumPayload() {
-    AggSpec a;
-    a.kind = Kind::kSumPayload;
-    return a;
-  }
-  static AggSpec Min(Expr expr) {
-    AggSpec a;
-    a.kind = Kind::kMin;
-    a.expr = expr;
-    return a;
-  }
-  static AggSpec Max(Expr expr) {
-    AggSpec a;
-    a.kind = Kind::kMax;
-    a.expr = expr;
-    return a;
-  }
+  static AggSpec Count() { return {Kind::kCount, {}, false}; }
+  static AggSpec SumPayload() { return {Kind::kSumPayload, {}, false}; }
+  static AggSpec Min(Expr expr) { return {Kind::kMin, expr, false}; }
+  static AggSpec Max(Expr expr) { return {Kind::kMax, expr, false}; }
 };
 
 /// One aggregate's accumulator/result: `f64` for kSum/kMin/kMax, `u64` for
@@ -74,18 +51,33 @@ struct ResultRow {
 };
 
 /// Grouped or ungrouped aggregation sink — the canonical per-block-ordinal
-/// reduction of tpch_queries.h as an operator: Push accumulates one block's
-/// partial (groups discovered in row/match order, each accumulator advanced
-/// row-at-a-time), and Finish folds the partials into the final result in
+/// reduction of tpch_queries.h as an operator. Push folds one block's rows
+/// (or join matches) into that block's partial in two column-at-a-time
+/// passes:
+///
+///  1. Group ids. Every row is resolved to a dense group id, in row/match
+///     order, through a small open-addressing table that lives for the chunk.
+///     Each key column value becomes one integer — a string of at most 7
+///     bytes packed with its length, or a tagged hash of a longer string that
+///     a hit confirms by comparing the strings — so lookups compare integers
+///     and never walk the group list. Dictionary-encoded columns pack each
+///     distinct code once. A miss appends a group, so a partial's groups are
+///     in the order a scalar tuple-at-a-time pass discovers them.
+///  2. One scatter loop per aggregate, with the expression form, the null
+///     test and the payload gate hoisted out of the row loop. When every row
+///     of the chunk falls in one group (always, for an ungrouped aggregate),
+///     the loop accumulates in a local and stores once.
+///
+/// Both passes keep each (block, group, aggregate) accumulator's additions
+/// in row order, and Finish folds the partials into the final result in
 /// block order, one addition per aggregate per (block, group). That fixed
 /// reduction-tree shape is what makes a plan's floating-point result
 /// bit-identical to the scalar tuple-at-a-time reference at any worker
 /// count.
 ///
 /// Group-by columns are batch indices of string columns (at most two —
-/// enough for every TPC-H shape shipped so far). Dictionary-encoded batches
-/// resolve groups by code (pair-coded for two columns) without touching the
-/// strings in the loop. Group values must be non-null. An ungrouped
+/// enough for every TPC-H shape shipped so far), plain or
+/// dictionary-encoded. Group values must be non-null. An ungrouped
 /// aggregate always produces exactly one result row even when nothing
 /// qualified — sums and counts at zero, kMin/kMax at their identities
 /// (+inf/-inf; pair them with a kCount to distinguish "empty" from data). A
@@ -110,26 +102,20 @@ class AggregateOp final : public Operator {
   const std::vector<ResultRow> &Result() const { return result_; }
 
  private:
-  /// A group's accumulators inside one block partial (or the global merge).
-  struct GroupAcc {
-    std::vector<std::string> keys;
+  /// One block's groups, in discovery order: group g's keys, and its
+  /// accumulator for aggregate i at values[g * aggs_.size() + i].
+  struct Partial {
+    std::vector<std::vector<std::string>> keys;
     std::vector<AggValue> values;
   };
-  /// One block's groups, in discovery order.
-  using Partial = std::vector<GroupAcc>;
 
-  class Resolver;
-
-  GroupAcc NewGroup(std::vector<std::string> keys) const;
-  void AccumulateRow(GroupAcc *acc, const std::vector<BoundExpr> &bound, uint32_t row,
-                     uint64_t payload) const;
-  void UngroupedPush(Chunk *chunk, const std::vector<BoundExpr> &bound);
-
-  static uint32_t FindOrAddGroup(Partial *partial, const std::vector<std::string> &keys,
-                                 const AggregateOp &op);
+  uint32_t AddGroup(Partial *partial, std::vector<std::string> keys) const;
+  bool ResolveGroups(const Chunk &chunk, const uint32_t *rows, size_t n, Partial *partial,
+                     uint32_t *gids) const;
 
   std::vector<uint16_t> group_cols_;
   std::vector<AggSpec> aggs_;
+  std::vector<AggValue> identity_;  ///< a fresh group's accumulators
   bool needs_payload_ = false;
   std::vector<Partial> partials_;
   std::vector<ResultRow> result_;

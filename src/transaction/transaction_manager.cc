@@ -51,6 +51,13 @@ TransactionManager::~TransactionManager() {
 TransactionContext *TransactionManager::BeginTransaction() {
   timestamp_t start;
   {
+    // Draw the start timestamp inside the commit critical section: every
+    // commit timestamp below `start` then has its delta records stamped, so
+    // this transaction sees those commits, and any commit it does not see
+    // draws a later timestamp its writes conflict with. Without the commit
+    // latch a begin could slip between a committer's draw and its stamping,
+    // read the pre-image, and overwrite the committed value unchallenged.
+    common::SpinLatch::ScopedSpinLatch commit_guard(&commit_latch_);
     common::SpinLatch::ScopedSpinLatch guard(&curr_running_latch_);
     start = time_++;
     curr_running_.insert(start);

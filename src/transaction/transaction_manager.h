@@ -25,8 +25,9 @@ namespace mainline::transaction {
 /// its versions uncommitted: because all timestamp comparisons are unsigned,
 /// those versions are never visible to any reader. Commit executes a small
 /// critical section that obtains the commit timestamp and stamps the
-/// transaction's delta records. Write-write conflicts are disallowed (no
-/// cascading rollbacks).
+/// transaction's delta records; Begin draws its start timestamp under the
+/// same latch, so no commit is ever half-stamped at a start timestamp above
+/// its own. Write-write conflicts are disallowed (no cascading rollbacks).
 class TransactionManager {
  public:
   /// \param buffer_pool pool for undo/redo buffer segments
@@ -51,7 +52,7 @@ class TransactionManager {
   /// Begin a new transaction.
   /// \return the new transaction's context; ownership passes to the GC (or to
   /// this manager if GC is disabled) once the transaction finishes.
-  TransactionContext *BeginTransaction();
+  TransactionContext *BeginTransaction() EXCLUDES(commit_latch_, curr_running_latch_);
 
   /// Commit `txn`. If logging is enabled, `callback(arg)` fires once the
   /// commit record is persistent; otherwise it fires before returning.
@@ -95,12 +96,15 @@ class TransactionManager {
   void TransactionFinished(TransactionContext *txn);
 
   std::atomic<timestamp_t> time_{kInitialTimestamp + 1};
+  // Serializes the commit critical section (timestamp draw + delta
+  // stamping) against itself and against BeginTransaction's start-timestamp
+  // draw; it guards an ordering invariant, not data — the fields it orders
+  // are the delta records' atomics. Lock order: commit_latch_ before
+  // curr_running_latch_ (BeginTransaction holds both); no other latch is
+  // taken under either.
+  common::SpinLatch commit_latch_ ACQUIRED_BEFORE(curr_running_latch_);
   common::SpinLatch curr_running_latch_;
   std::multiset<timestamp_t> curr_running_ GUARDED_BY(curr_running_latch_);
-  // Serializes the commit critical section (timestamp draw + delta
-  // stamping); it guards an ordering invariant, not data — the fields it
-  // orders are the delta records' atomics. Referenced by Commit's EXCLUDES.
-  common::SpinLatch commit_latch_;
   common::SpinLatch completed_latch_;
   std::vector<TransactionContext *> completed_txns_ GUARDED_BY(completed_latch_);
 

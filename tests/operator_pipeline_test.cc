@@ -577,6 +577,188 @@ TEST_P(OperatorPipelineTest, AggregateGroupedAndUngrouped) {
   gc_.FullGC();
 }
 
+/// Pass 1's group table under stress, against a row-order std::map
+/// reference: one block with thousands of distinct groups (the per-chunk
+/// table must grow), keys of 0-40 bytes on both sides of the 7-byte packing
+/// limit, prefix-related keys ("A"/"AA"), two-column keys whose
+/// concatenations collide (("AB","C") vs ("A","BC")), a nullable aggregate
+/// input, and a grouped aggregate downstream of a join probe with a
+/// payload-gated Sum (Q14's shape) and SumPayload. The table is one block,
+/// so the per-block partial IS the final accumulation and the reference's
+/// row-order additions must match bit-exactly — hot, then frozen; a
+/// selective filter makes a frozen dictionary longer than the chunk.
+TEST_P(OperatorPipelineTest, AggregateGroupTableStress) {
+  constexpr int64_t kRows = 8000;
+  static const std::vector<std::string> kSpecial = {
+      "", "A", "AA", "AB", "ABCDEFG", "ABCDEFGH", "ABCDEFGHIJKLMNO",
+      "a forty-byte key ending in a few digits!"};
+  static const char *kK2[] = {"C", "BC", "", "CCCCCCCC", "ABC"};
+  const auto k1_of = [](int64_t i) {
+    switch (i % 4) {
+      case 0:
+        return kSpecial[static_cast<size_t>(i / 4) % kSpecial.size()];
+      case 1:
+        return std::to_string(i % 1777);  // short, packed
+      case 2:
+        return "a longer group key, hashed then compared #" + std::to_string(i % 1999);
+      default:
+        return std::string(static_cast<size_t>(i % 16), 'A');  // "", "A", "AA", ...
+    }
+  };
+  const auto k2_of = [](int64_t i) { return std::string(kK2[i % 5]); };
+  const auto val_null = [](int64_t i) { return i % 7 == 3; };
+  const auto val_of = [](int64_t i) { return static_cast<double>(i % 113) / 9.0; };
+  const auto val2_of = [](int64_t i) { return static_cast<double>(i % 37) / 3.0; };
+  const auto fk_of = [](int64_t i) { return (i * 7) % kRows; };
+
+  const catalog::Schema schema({{"id", catalog::TypeId::kBigInt},
+                                {"val", catalog::TypeId::kDecimal},
+                                {"val2", catalog::TypeId::kDecimal},
+                                {"k1", catalog::TypeId::kVarchar},
+                                {"k2", catalog::TypeId::kVarchar},
+                                {"fk", catalog::TypeId::kBigInt},
+                                {"pos", catalog::TypeId::kDate}});
+  catalog::SqlTable *table = catalog_.GetTable(catalog_.CreateTable("group_stress", schema));
+  // Build side: key k (a third dangle) with payload k % 4 (a quarter gate
+  // off); every fifth key twice, so some probe rows match twice.
+  const catalog::Schema build_schema(
+      {{"key", catalog::TypeId::kBigInt}, {"pay", catalog::TypeId::kBigInt}});
+  catalog::SqlTable *build_table =
+      catalog_.GetTable(catalog_.CreateTable("group_stress_build", build_schema));
+  std::map<int64_t, std::vector<uint64_t>> payloads_of;
+  {
+    auto *txn = txn_manager_.BeginTransaction();
+    const auto init = table->FullInitializer();
+    std::vector<byte> buffer(init.ProjectedRowSize() + 8);
+    for (int64_t i = 0; i < kRows; i++) {
+      ProjectedRow *row = init.InitializeRow(buffer.data());
+      workload::Set<int64_t>(row, 0, i);
+      workload::Set<double>(row, 1, val_of(i));
+      if (val_null(i)) row->SetNull(1);
+      workload::Set<double>(row, 2, val2_of(i));
+      workload::SetVarchar(row, 3, k1_of(i));
+      workload::SetVarchar(row, 4, k2_of(i));
+      workload::Set<int64_t>(row, 5, fk_of(i));
+      workload::Set<uint32_t>(row, 6, static_cast<uint32_t>(i));
+      table->Insert(txn, *row);
+    }
+    const auto build_init = build_table->FullInitializer();
+    std::vector<byte> build_buffer(build_init.ProjectedRowSize() + 8);
+    for (int64_t k = 0; k < kRows; k++) {
+      if (k % 3 == 2) continue;
+      for (int copy = 0; copy < (k % 5 == 0 ? 2 : 1); copy++) {
+        ProjectedRow *row = build_init.InitializeRow(build_buffer.data());
+        workload::Set<int64_t>(row, 0, k);
+        workload::Set<int64_t>(row, 1, (k + copy) % 4);
+        build_table->Insert(txn, *row);
+        payloads_of[k].push_back(static_cast<uint64_t>((k + copy) % 4));
+      }
+    }
+    txn_manager_.Commit(txn);
+    gc_.FullGC();
+  }
+  ASSERT_EQ(table->UnderlyingTable().NumBlocks(), 1u) << "stress table must stay one block";
+
+  struct Acc {
+    double sum = 0, sum2 = 0, gated = 0;
+    uint64_t count = 0, payload = 0;
+    double min = std::numeric_limits<double>::infinity();
+    double max = -std::numeric_limits<double>::infinity();
+  };
+  // Rows in order; `joined` repeats a row once per build match.
+  const auto reference = [&](size_t num_cols, bool joined, int64_t max_id) {
+    std::map<std::vector<std::string>, Acc> groups;
+    for (int64_t i = 0; i <= max_id; i++) {
+      std::vector<std::string> keys = {k1_of(i), k2_of(i)};
+      keys.resize(num_cols);
+      const auto fold = [&](uint64_t payload) {
+        Acc *acc = &groups[keys];
+        acc->count++;
+        acc->payload += payload;
+        acc->sum2 += val2_of(i) * val2_of(i);
+        if (val_null(i)) return;
+        acc->sum += val_of(i);
+        if (payload != 0) acc->gated += val_of(i);
+        acc->min = std::min(acc->min, val_of(i));
+        acc->max = std::max(acc->max, val_of(i));
+      };
+      if (!joined) {
+        fold(0);
+      } else if (payloads_of.count(fk_of(i)) != 0) {
+        for (const uint64_t payload : payloads_of.at(fk_of(i))) fold(payload);
+      }
+    }
+    return groups;
+  };
+  const auto val = op::Expr::Column(op::ColumnRef::Batch(1));
+  const auto val2_squared = op::Expr::Mul(op::ColumnRef::Batch(2), op::ColumnRef::Batch(2));
+
+  const auto check = [&](const char *label) {
+    for (const size_t num_cols : {size_t{1}, size_t{2}}) {
+      const std::vector<uint16_t> group_cols =
+          num_cols == 1 ? std::vector<uint16_t>{3} : std::vector<uint16_t>{3, 4};
+      // Plain grouped aggregate: every row, then a selective filter.
+      for (const int64_t max_id : {kRows - 1, int64_t{1500}}) {
+        auto *txn = txn_manager_.BeginTransaction();
+        op::PhysicalPlan plan;
+        op::PipelineBuilder builder(&plan);
+        builder.Scan(table, {0, 1, 2, 3, 4, 5, 6})
+            .Filter({op::Predicate::U32AtMost(6, static_cast<uint32_t>(max_id))});
+        op::AggregateOp *agg = builder.Aggregate(
+            group_cols, {op::AggSpec::Sum(val), op::AggSpec::Count(), op::AggSpec::Min(val),
+                         op::AggSpec::Max(val), op::AggSpec::Sum(val2_squared)});
+        plan.Run(txn, nullptr, nullptr);
+        txn_manager_.Commit(txn);
+        const auto expected = reference(num_cols, /*joined=*/false, max_id);
+        if (max_id == kRows - 1) {
+          EXPECT_GT(expected.size(), 3000u);
+        }
+        const std::vector<op::ResultRow> &result = agg->Result();
+        ASSERT_EQ(result.size(), expected.size()) << label << " " << num_cols << " cols";
+        size_t r = 0;
+        for (const auto &[keys, acc] : expected) {
+          ASSERT_EQ(result[r].keys, keys) << label;
+          EXPECT_EQ(result[r].values[0].f64, acc.sum) << label << " " << keys[0];
+          EXPECT_EQ(result[r].values[1].u64, acc.count) << label << " " << keys[0];
+          EXPECT_EQ(result[r].values[2].f64, acc.min) << label << " " << keys[0];
+          EXPECT_EQ(result[r].values[3].f64, acc.max) << label << " " << keys[0];
+          EXPECT_EQ(result[r].values[4].f64, acc.sum2) << label << " " << keys[0];
+          r++;
+        }
+      }
+      // Downstream of a join probe: gated Sum and SumPayload.
+      auto *txn = txn_manager_.BeginTransaction();
+      op::PhysicalPlan plan;
+      op::PipelineBuilder builder(&plan);
+      builder.Scan(build_table, {0, 1});
+      op::HashJoinBuildOp *build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+      builder.Scan(table, {0, 1, 2, 3, 4, 5}).JoinProbe(5, build);
+      op::AggregateOp *agg = builder.Aggregate(
+          group_cols, {op::AggSpec::Sum(val, /*payload_gate=*/true), op::AggSpec::SumPayload(),
+                       op::AggSpec::Count(), op::AggSpec::Sum(val2_squared)});
+      plan.Run(txn, nullptr, nullptr);
+      txn_manager_.Commit(txn);
+      const auto expected = reference(num_cols, /*joined=*/true, kRows - 1);
+      const std::vector<op::ResultRow> &result = agg->Result();
+      ASSERT_EQ(result.size(), expected.size()) << label << " joined";
+      size_t r = 0;
+      for (const auto &[keys, acc] : expected) {
+        ASSERT_EQ(result[r].keys, keys) << label << " joined";
+        EXPECT_EQ(result[r].values[0].f64, acc.gated) << label << " joined " << keys[0];
+        EXPECT_EQ(result[r].values[1].u64, acc.payload) << label << " joined " << keys[0];
+        EXPECT_EQ(result[r].values[2].u64, acc.count) << label << " joined " << keys[0];
+        EXPECT_EQ(result[r].values[3].f64, acc.sum2) << label << " joined " << keys[0];
+        r++;
+      }
+    }
+  };
+
+  check("hot");
+  Freeze(table);
+  check("frozen");
+  gc_.FullGC();
+}
+
 /// The headline agreement matrix: Q1/Q6/Q12/Q14 as plans vs the scalar
 /// references, at 1/2/4/8 workers, over hot, ~50% frozen, and fully frozen
 /// tables — bit-exact everywhere, both access paths exercised where the
