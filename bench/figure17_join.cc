@@ -7,8 +7,9 @@
 // Expected shape: like figure16, the scalar engine is flat while the
 // vectorized engine scales with the frozen fraction — but the join adds a
 // build phase whose hash table is shared read-only by every probe worker,
-// so the threads sweep shows the probe scaling like a scan while the build
-// amortizes across partitions. All engines must agree exactly on every
+// so the threads sweep shows the build and probe scans scaling like a scan
+// while the table construction between them (one sequential count-then-
+// scatter pass) does not. All engines must agree exactly on every
 // result at every worker count; the binary exits non-zero on any mismatch.
 
 #include <cinttypes>

@@ -23,7 +23,9 @@ PREFIX = "METRICS_JSON "
 # required: the benches freeze blocks through BlockTransformer directly, so
 # the transform *pipeline*'s lazily registered metrics never appear.)
 ENGINE_PREFIXES = ("storage.", "txn.", "gc.", "pool.", "scan.")
-OPERATOR_KEYS = ("label", "rows_in", "rows_out", "chunks", "inclusive_ns", "exclusive_ns")
+OPERATOR_KEYS = (
+    "label", "rows_in", "rows_out", "chunks", "inclusive_ns", "exclusive_ns", "finish_ns"
+)
 
 
 def extract(path):

@@ -1,32 +1,19 @@
 #include "execution/hash_join.h"
 
+#include <algorithm>
+#include <bit>
+#include <limits>
+
 #include "execution/parallel_scanner.h"
 
 namespace mainline::execution {
-
-void JoinHashTable::Partition::BuildFrom(const std::vector<JoinEntry> &entries) {
-  if (entries.empty()) return;
-  // Power-of-two capacity at a load factor of at most 0.5 keeps linear-probe
-  // chains short even with duplicate-heavy keys.
-  uint64_t capacity = 8;
-  while (capacity < entries.size() * 2) capacity <<= 1;
-  slots.resize(capacity);
-  used.assign(capacity, 0);
-  const uint64_t mask = capacity - 1;
-  for (const JoinEntry &entry : entries) {
-    uint64_t i = HashKey(entry.key) & mask;
-    while (used[i]) i = (i + 1) & mask;
-    slots[i] = entry;
-    used[i] = 1;
-  }
-}
 
 JoinHashTable JoinHashTable::Build(catalog::SqlTable *table,
                                    transaction::TransactionContext *txn,
                                    const std::vector<uint16_t> &projection,
                                    const BuildEmitFn &emit, common::WorkerPool *pool,
                                    ScanStats *stats) {
-  // Step 1 — scan: one entry vector per block ordinal; workers write
+  // Phase 1 — scan: one entry vector per block ordinal; workers write
   // disjoint slots, so no synchronization beyond the scan itself.
   ParallelTableScanner scanner(table, txn, projection);
   std::vector<std::vector<JoinEntry>> per_block(scanner.NumBlocks());
@@ -34,45 +21,58 @@ JoinHashTable JoinHashTable::Build(catalog::SqlTable *table,
     emit(*batch, &per_block[ordinal]);
   });
   if (stats != nullptr) stats->Add(scanner.Stats());
-  return FromOrdinalLists(per_block, pool);
+  return FromOrdinalLists(per_block);
 }
 
 JoinHashTable JoinHashTable::FromOrdinalLists(
-    const std::vector<std::vector<JoinEntry>> &per_block, common::WorkerPool *pool) {
+    const std::vector<std::vector<JoinEntry>> &per_block) {
   JoinHashTable result;
-
-  // Step 2 — scatter, in block order: partition contents become independent
-  // of how the morsels were distributed over workers.
-  std::array<std::vector<JoinEntry>, kNumPartitions> buckets;
-  uint64_t total = 0;
-  for (const std::vector<JoinEntry> &entries : per_block) total += entries.size();
-  if (total == 0) return result;
-  for (auto &bucket : buckets) bucket.reserve(total / kNumPartitions + 1);
+  uint64_t n = 0;
+  int64_t min = std::numeric_limits<int64_t>::max();
+  int64_t max = std::numeric_limits<int64_t>::min();
   for (const std::vector<JoinEntry> &entries : per_block) {
+    n += entries.size();
     for (const JoinEntry &entry : entries) {
-      buckets[HashKey(entry.key) >> kPartitionShift].push_back(entry);
+      min = std::min(min, entry.key);
+      max = std::max(max, entry.key);
     }
   }
-  result.num_entries_ = total;
+  if (n == 0) return result;
+  MAINLINE_ASSERT(n < (uint64_t{1} << 32), "the bucket directory holds 32-bit offsets");
 
-  // Step 3 — per-partition table build: disjoint partitions, one task each.
-  // The same pool the scan used is idle again by now; degrade inline without
-  // one (or when a racing shutdown rejects the submit).
-  const uint32_t workers = pool == nullptr ? 0 : pool->NumWorkers();
-  if (workers == 0) {
-    for (uint32_t p = 0; p < kNumPartitions; p++) {
-      result.partitions_[p].BuildFrom(buckets[p]);
+  // The range wraps to 0 when the keys span all of int64: hash those. A
+  // hashed table has at least two distinct keys (one key spans range 1), so
+  // at least two buckets and a shift below 64.
+  const uint64_t hashed_buckets = std::bit_ceil(n);
+  const uint64_t range = static_cast<uint64_t>(max) - static_cast<uint64_t>(min) + 1;
+  const bool dense = range != 0 && range <= kDenseRangeFactor * hashed_buckets;
+  result.dense_ = dense;
+  result.min_ = min;
+  result.shift_ = dense ? 0 : 64 - static_cast<uint32_t>(std::countr_zero(hashed_buckets));
+  result.num_buckets_ = dense ? range : hashed_buckets;
+  result.num_entries_ = n;
+
+  // Count, then prefix-sum: dir[b] becomes the end of bucket b.
+  result.dir_ = std::make_unique<uint32_t[]>(result.num_buckets_ + 1);
+  uint32_t *dir = result.dir_.get();
+  for (const std::vector<JoinEntry> &entries : per_block) {
+    for (const JoinEntry &entry : entries) dir[result.Bucket(entry.key)]++;
+  }
+  uint32_t end = 0;
+  for (uint64_t b = 0; b <= result.num_buckets_; b++) {
+    end += dir[b];
+    dir[b] = end;
+  }
+
+  // Scatter back to front, so each bucket fills from its end down to its
+  // start in reverse block order — leaving it in block order and dir[b] at
+  // the bucket's start.
+  result.entries_ = std::make_unique_for_overwrite<JoinEntry[]>(n);
+  JoinEntry *entries = result.entries_.get();
+  for (auto list = per_block.rbegin(); list != per_block.rend(); ++list) {
+    for (auto entry = list->rbegin(); entry != list->rend(); ++entry) {
+      entries[--dir[result.Bucket(entry->key)]] = *entry;
     }
-  } else {
-    for (uint32_t p = 0; p < kNumPartitions; p++) {
-      if (buckets[p].empty()) continue;
-      Partition *partition = &result.partitions_[p];
-      const std::vector<JoinEntry> *bucket = &buckets[p];
-      if (!pool->SubmitTask([partition, bucket] { partition->BuildFrom(*bucket); })) {
-        partition->BuildFrom(*bucket);
-      }
-    }
-    pool->WaitUntilAllFinished();
   }
   return result;
 }

@@ -1,8 +1,8 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "arrowlite/array.h"
@@ -33,32 +33,26 @@ using BuildEmitFn = std::function<void(const ColumnVectorBatch &batch,
                                        std::vector<JoinEntry> *out)>;
 
 /// The build side of a morsel-parallel hash join (Section 4.1's dual access
-/// path underneath, morsel-driven on top): a partitioned open-addressing hash
-/// table over int64 join keys.
+/// path underneath, morsel-driven on top): one contiguous array of build
+/// entries grouped by bucket, plus a directory of B+1 offsets — bucket b's
+/// entries are entries_[dir_[b], dir_[b+1]).
 ///
-/// Build runs in three steps, none of which takes a lock:
+/// A key's bucket is `key - min` when the build keys are dense (their range
+/// is at most kDenseRangeFactor times the hashed bucket count next_pow2(n)),
+/// so surrogate keys arriving in key order are laid out in key order.
+/// Otherwise it is the top bits of HashKey. One probe loop serves both.
 ///
-///  1. **Scan**: a ParallelTableScanner hands block-granular morsels to the
-///     worker pool; each worker emits its blocks' (key, payload) pairs into a
-///     per-block-ordinal slot (disjoint writes, like the query engines'
-///     per-block partials).
-///  2. **Scatter**: one sequential pass distributes the entries into
-///     kNumPartitions partition buckets by hash prefix, walking ordinals in
-///     block order — so partition contents (and therefore duplicate-match
-///     order) are deterministic and independent of the worker count.
-///  3. **Partition build**: one task per non-empty partition inserts its
-///     bucket into that partition's open-addressing table. Partitions are
-///     disjoint by construction, so the tasks share nothing.
-///
-/// Duplicate build keys are supported: every entry gets its own slot, and
-/// ForEachMatch visits all of them in insertion (block) order. The table is
-/// insert-only — probes never mutate it, so the probe phase may run from any
-/// number of threads concurrently.
+/// The build takes no lock. Scan workers emit (key, payload) pairs into one
+/// list per block ordinal (disjoint writes, like the query engines'
+/// per-block partials); FromOrdinalLists then finds the key range, counts
+/// and prefix-sums the entries per bucket, and scatters them walking the
+/// lists back to front, so each bucket holds its entries in block order at
+/// any worker count. ForEachMatch visits duplicate keys in that order. The
+/// table is immutable once built, so any number of threads may probe it.
 class JoinHashTable {
  public:
-  /// Partition count: enough to keep a pool of workers busy in step 3 while
-  /// keeping the per-worker scatter state trivially small.
-  static constexpr uint32_t kNumPartitions = 64;
+  /// Dense keys span fewer than 16 directory offsets per entry.
+  static constexpr uint64_t kDenseRangeFactor = 8;
 
   JoinHashTable() = default;
 
@@ -68,7 +62,7 @@ class JoinHashTable {
 
   /// Build the table by scanning `table` (both frozen zero-copy and hot
   /// materialized blocks) with `projection`, emitting build entries through
-  /// `emit`. A null/zero-worker/shut-down pool degrades to an inline build on
+  /// `emit`. A null/zero-worker/shut-down pool degrades to an inline scan on
   /// the calling thread. `txn` must stay read-only while the build runs
   /// (scan workers share it).
   /// \param stats accumulates the build scan's counters (may be nullptr)
@@ -76,25 +70,19 @@ class JoinHashTable {
                              const std::vector<uint16_t> &projection, const BuildEmitFn &emit,
                              common::WorkerPool *pool, ScanStats *stats = nullptr);
 
-  /// Steps 2-3 of the build, for callers that produced the per-block-ordinal
-  /// entry lists themselves (e.g. op::HashJoinBuildOp, whose pipeline filters
-  /// and scans on its own): scatter the lists into partitions in ordinal
-  /// order — preserving the worker-count-independent determinism above — and
-  /// build the partitions, one pool task each (inline without a pool).
-  static JoinHashTable FromOrdinalLists(const std::vector<std::vector<JoinEntry>> &per_block,
-                                        common::WorkerPool *pool);
+  /// The table over per-block-ordinal entry lists, for callers that scan on
+  /// their own (e.g. op::HashJoinBuildOp, whose pipeline filters first).
+  static JoinHashTable FromOrdinalLists(const std::vector<std::vector<JoinEntry>> &per_block);
 
   /// Invoke `fn(payload)` for every build entry whose key equals `key`, in
   /// the deterministic insertion order described above. Thread-safe.
   template <typename Fn>
   void ForEachMatch(int64_t key, Fn &&fn) const {
-    const uint64_t h = HashKey(key);
-    const Partition &p = partitions_[h >> kPartitionShift];
-    if (p.slots.empty()) return;
-    const uint64_t mask = p.slots.size() - 1;
-    for (uint64_t i = h & mask;; i = (i + 1) & mask) {
-      if (!p.used[i]) return;
-      if (p.slots[i].key == key) fn(p.slots[i].payload);
+    const uint64_t b = Bucket(key);
+    if (b >= num_buckets_) return;
+    const JoinEntry *const end = entries_.get() + dir_[b + 1];
+    for (const JoinEntry *entry = entries_.get() + dir_[b]; entry != end; ++entry) {
+      if (entry->key == key) fn(entry->payload);
     }
   }
 
@@ -116,13 +104,16 @@ class JoinHashTable {
     }
   }
 
-  /// \return total number of build entries across all partitions.
+  /// \return total number of build entries.
   uint64_t NumEntries() const { return num_entries_; }
 
   bool Empty() const { return num_entries_ == 0; }
 
-  /// 64-bit mix of a join key (splitmix64 finalizer): the top bits pick the
-  /// partition, the low bits the slot, so the two are independent.
+  /// \return true if buckets are `key - min` rather than hash prefixes.
+  bool DenseKeys() const { return dense_; }
+
+  /// 64-bit mix of a join key (splitmix64 finalizer); the hashed layout's
+  /// bucket is its top bits.
   static uint64_t HashKey(int64_t key) {
     auto x = static_cast<uint64_t>(key);
     x += 0x9e3779b97f4a7c15ull;
@@ -132,21 +123,22 @@ class JoinHashTable {
   }
 
  private:
-  static constexpr uint32_t kPartitionShift = 64 - 6;  // 2^6 == kNumPartitions
-  static_assert((uint32_t{1} << (64 - kPartitionShift)) == kNumPartitions,
-                "partition shift must match the partition count");
+  /// A dense key below min_ wraps to a huge bucket, so probes need only the
+  /// `b < num_buckets_` test.
+  uint64_t Bucket(int64_t key) const {
+    return dense_ ? static_cast<uint64_t>(key) - static_cast<uint64_t>(min_)
+                  : HashKey(key) >> shift_;
+  }
 
-  /// One open-addressing sub-table (linear probing, power-of-two capacity,
-  /// load factor <= 0.5, no tombstones — the table is insert-only).
-  struct Partition {
-    std::vector<JoinEntry> slots;
-    std::vector<uint8_t> used;
-
-    void BuildFrom(const std::vector<JoinEntry> &entries);
-  };
-
-  std::array<Partition, kNumPartitions> partitions_;
+  /// num_buckets_ + 1 offsets into entries_ (none for an empty table, whose
+  /// zero bucket count rejects every probe).
+  std::unique_ptr<uint32_t[]> dir_;
+  std::unique_ptr<JoinEntry[]> entries_;
+  uint64_t num_buckets_ = 0;
   uint64_t num_entries_ = 0;
+  int64_t min_ = 0;     ///< dense layout: the smallest build key
+  uint32_t shift_ = 0;  ///< hashed layout: 64 - log2(num_buckets_)
+  bool dense_ = true;
 };
 
 }  // namespace mainline::execution

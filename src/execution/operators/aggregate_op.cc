@@ -1,4 +1,3 @@
-#include "common/worker_pool.h"
 #include "arrowlite/array.h"
 #include "arrowlite/type.h"
 #include "common/selection_vector.h"
@@ -281,7 +280,7 @@ void AggregateOp::Push(Chunk *chunk) {
   if (tls.gids.capacity() > Chunk::kMaxRetainedMatches) std::vector<uint32_t>().swap(tls.gids);
 }
 
-void AggregateOp::Finish(common::WorkerPool *) {
+void AggregateOp::Finish() {
   // Fold the per-block partials in block order — ONE addition per aggregate
   // per (block, group), in each partial's discovery order. Blocks with no
   // qualifying rows have no groups and contribute nothing, exactly like the

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "execution/operators/operator.h"
 
 namespace mainline::execution::op {
@@ -96,7 +95,7 @@ class AggregateOp final : public Operator {
 
   std::string Label() const override { return "Aggregate"; }
 
-  void Finish(common::WorkerPool *pool) override;
+  void Finish() override;
 
   /// Final rows; valid once the plan has Run.
   const std::vector<ResultRow> &Result() const { return result_; }

@@ -118,8 +118,9 @@ void HashJoinProbeOp::Push(Chunk *chunk) {
     // Chained probe: consume the prior probe's matches, carrying each one's
     // payload along in JoinMatch::prior. Input order (prior matches) times
     // the table's insertion order keeps the new list deterministic.
-    std::vector<JoinMatch> prior;
+    std::vector<JoinMatch> &prior = chunk->prior_matches;
     prior.swap(chunk->matches);
+    chunk->matches.clear();
     if (prior.empty() || table.Empty()) return;
     const arrowlite::Array &keys = chunk->batch->Column(key_col_);
     const int64_t *values = keys.buffer(0)->data_as<int64_t>();

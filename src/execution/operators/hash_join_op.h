@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "execution/hash_join.h"
 #include "execution/operators/operator.h"
 
@@ -69,11 +68,10 @@ struct PayloadSpec {
 
 /// Pipeline-breaking sink that builds a JoinHashTable: Push collects each
 /// selected row's (key, payload) into a per-block-ordinal entry list, and
-/// Finish scatters the lists in block order into the partitioned table
-/// (parallel over the run's pool when one is available) — the same
-/// three-step lock-free build as JoinHashTable::Build, so partition contents
-/// and duplicate-match order stay deterministic at any worker count. Rows
-/// with a null key or null payload column are dropped (SQL join semantics).
+/// Finish counts and scatters the lists into the table's buckets — the same
+/// lock-free build as JoinHashTable::Build, so duplicate-match order is
+/// block order at any worker count. Rows with a null key or null payload
+/// column are dropped (SQL join semantics).
 ///
 /// A build downstream of a probe consumes the chunk's match list instead of
 /// its selection vector — one entry per match, so join multiplicity carries
@@ -97,8 +95,8 @@ class HashJoinBuildOp final : public Operator {
 
   std::string Label() const override { return "HashJoinBuild"; }
 
-  void Finish(common::WorkerPool *pool) override {
-    table_ = JoinHashTable::FromOrdinalLists(per_block_, pool);
+  void Finish() override {
+    table_ = JoinHashTable::FromOrdinalLists(per_block_);
     per_block_.clear();
   }
 

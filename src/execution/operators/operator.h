@@ -9,7 +9,6 @@
 #include "common/macros.h"
 #include "common/selection_vector.h"
 #include "common/timer.h"
-#include "common/worker_pool.h"
 #include "execution/column_vector_batch.h"
 #include "execution/operators/expr.h"
 #include "execution/operators/plan_profile.h"
@@ -49,6 +48,10 @@ class Chunk {
   /// (which may repeat rows, for duplicate build keys) instead of `sel`.
   bool probed = false;
   std::vector<JoinMatch> matches;
+  /// A chained probe's input: it swaps the previous match list in here and
+  /// refills `matches`, so both buffers stay pooled. Dead data once that
+  /// probe's Push returns; no other operator reads it.
+  std::vector<JoinMatch> prior_matches;
   /// ProjectOp outputs, in projection order; addressed by
   /// ColumnRef::Computed(i). Only the first `num_computed` entries are live
   /// for the current block — the tail is recycled buffer capacity from
@@ -76,10 +79,12 @@ class Chunk {
     batch = new_batch;
     sel.InitFull(static_cast<uint32_t>(new_batch->NumRows()));
     probed = false;
-    if (matches.capacity() > kMaxRetainedMatches) {
-      std::vector<JoinMatch>().swap(matches);  // clear() would keep the buffer
-    } else {
-      matches.clear();
+    for (std::vector<JoinMatch> *list : {&matches, &prior_matches}) {
+      if (list->capacity() > kMaxRetainedMatches) {
+        std::vector<JoinMatch>().swap(*list);  // clear() would keep the buffer
+      } else {
+        list->clear();
+      }
     }
     if (computed.size() > kMaxRetainedComputedColumns) {
       computed.resize(kMaxRetainedComputedColumns);
@@ -124,9 +129,8 @@ class Operator {
   /// Consume one chunk (worker thread; see the threading contract above).
   virtual void Push(Chunk *chunk) = 0;
 
-  /// Post-scan hook (driving thread). `pool` is the run's worker pool (may
-  /// be nullptr) for operators whose finish phase parallelizes.
-  virtual void Finish(common::WorkerPool *pool) { (void)pool; }
+  /// Post-scan hook (driving thread).
+  virtual void Finish() {}
 
   /// Display name in EXPLAIN output.
   virtual std::string Label() const { return "Operator"; }

@@ -1,4 +1,3 @@
-#include "common/worker_pool.h"
 #include "arrowlite/array.h"
 #include "execution/operators/topk_op.h"
 
@@ -136,7 +135,7 @@ void TopKOp::Push(Chunk *chunk) {
   }
 }
 
-void TopKOp::Finish(common::WorkerPool *) {
+void TopKOp::Finish() {
   // Fold the per-block heaps, in block order, into one k-bounded heap. The
   // (ordinal, seq) tie-break makes the winning set — and its sorted order —
   // a single total order, so the fold order cannot matter; walking ordinals

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "execution/operators/operator.h"
 
 namespace mainline::execution::op {
@@ -118,7 +117,7 @@ class TopKOp final : public Operator {
 
   std::string Label() const override { return "TopK"; }
 
-  void Finish(common::WorkerPool *pool) override;
+  void Finish() override;
 
   /// Final rows, best first; valid once the plan has Run.
   const std::vector<TopKRow> &Result() const { return result_; }

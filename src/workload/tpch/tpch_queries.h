@@ -130,8 +130,9 @@ std::vector<Q12Row> RunQ12(catalog::SqlTable *orders, catalog::SqlTable *lineite
                            transaction::TransactionContext *txn, const Q12Params &params,
                            ScanStats *stats = nullptr, op::PlanProfile *profile = nullptr);
 
-/// The same Q12 plan run morsel-parallel (build scan, partition build, and
-/// probe scan all over `pool`). Bit-exact with RunQ12 and RunQ12Scalar for
+/// The same Q12 plan run morsel-parallel (build scan and probe scan over
+/// `pool`; the table itself is built between them, on the calling thread).
+/// Bit-exact with RunQ12 and RunQ12Scalar for
 /// any worker count. `txn` must stay read-only while the plan runs.
 std::vector<Q12Row> RunQ12Parallel(catalog::SqlTable *orders, catalog::SqlTable *lineitem,
                                    transaction::TransactionContext *txn,

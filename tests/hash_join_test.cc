@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -176,6 +178,45 @@ TEST_P(HashJoinTest, BuildSideDuplicateKeysAllMatch) {
   }
   // Missing keys match nothing.
   parallel_build.ForEachMatch(1000, [](uint64_t) { FAIL() << "matched a missing key"; });
+  gc_.FullGC();
+}
+
+/// Both table layouts keep duplicate matches in block order: keys repeat in
+/// every block of a multi-block build table, over a dense range (buckets are
+/// `key - min`) and spread by `k << 40` (too sparse, so hashed). Payloads are
+/// insertion sequence numbers, so block order is ascending payload order, and
+/// the inline and 4-worker builds must agree on it.
+TEST_P(HashJoinTest, BothLayoutsMatchInBlockOrder) {
+  const catalog::Schema schema{{{"key", catalog::TypeId::kBigInt},
+                                {"payload", catalog::TypeId::kBigInt}}};
+  const uint64_t rows = 3 * schema.ToBlockLayout().NumSlots() + 100;
+  constexpr int64_t kKeys = 500;
+  common::WorkerPool pool(4);
+  for (const int shift : {0, 40}) {
+    std::vector<JoinEntry> entries;
+    std::vector<std::vector<uint64_t>> expected(kKeys);
+    for (uint64_t i = 0; i < rows; i++) {
+      const auto k = static_cast<int64_t>((i * 7919) % kKeys);
+      entries.push_back({k << shift, i});
+      expected[static_cast<size_t>(k)].push_back(i);
+    }
+    catalog::SqlTable *table = MakeBuildTable("spread" + std::to_string(shift), entries);
+    ASSERT_GE(table->UnderlyingTable().NumBlocks(), 3u);
+
+    const JoinHashTable inline_build = Build(table, nullptr);
+    const JoinHashTable parallel_build = Build(table, &pool);
+    EXPECT_EQ(inline_build.DenseKeys(), shift == 0);
+    EXPECT_EQ(parallel_build.DenseKeys(), shift == 0);
+    EXPECT_EQ(parallel_build.NumEntries(), rows);
+    for (int64_t k = 0; k < kKeys; k++) {
+      std::vector<uint64_t> inline_matches, parallel_matches;
+      inline_build.ForEachMatch(k << shift, [&](uint64_t p) { inline_matches.push_back(p); });
+      parallel_build.ForEachMatch(k << shift, [&](uint64_t p) { parallel_matches.push_back(p); });
+      ASSERT_EQ(inline_matches, expected[static_cast<size_t>(k)])
+          << "key " << k << " shift " << shift << ": not in block order";
+      ASSERT_EQ(parallel_matches, inline_matches) << "key " << k << " shift " << shift;
+    }
+  }
   gc_.FullGC();
 }
 
@@ -419,6 +460,77 @@ TEST_P(HashJoinTest, Q12ParallelStaysConsistentUnderConcurrentWritesAndTransform
   EXPECT_GT(aggregate.frozen_blocks, 0u) << "no morsel ever took the zero-copy path";
   EXPECT_GT(aggregate.hot_blocks, 0u) << "no morsel ever took the materialization path";
   gc_.FullGC();
+}
+
+/// Every match of `key`, in ForEachMatch order.
+std::vector<uint64_t> MatchesOf(const JoinHashTable &table, int64_t key) {
+  std::vector<uint64_t> matches;
+  table.ForEachMatch(key, [&](uint64_t payload) { matches.push_back(payload); });
+  return matches;
+}
+
+constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxKey = std::numeric_limits<int64_t>::max();
+
+/// Keys at both ends of int64 in one build: the key range wraps to 0 in
+/// uint64, which must select the hashed layout rather than a zero-bucket (or
+/// 2^64-bucket) dense one. Dense tables touching either end must not wrap a
+/// probe from the other end into range.
+TEST(JoinHashTableTest, ExtremeKeys) {
+  const JoinHashTable both = JoinHashTable::FromOrdinalLists(
+      {{{kMinKey, 1}, {kMaxKey, 2}, {0, 3}}, {}, {{kMinKey, 4}}});
+  EXPECT_FALSE(both.DenseKeys());
+  EXPECT_EQ(both.NumEntries(), 4u);
+  EXPECT_EQ(MatchesOf(both, kMinKey), (std::vector<uint64_t>{1, 4}));
+  EXPECT_EQ(MatchesOf(both, kMaxKey), (std::vector<uint64_t>{2}));
+  EXPECT_EQ(MatchesOf(both, 0), (std::vector<uint64_t>{3}));
+  for (const int64_t miss : {int64_t{1}, int64_t{-1}, kMinKey + 1, kMaxKey - 1}) {
+    EXPECT_TRUE(MatchesOf(both, miss).empty()) << miss;
+  }
+
+  const JoinHashTable low = JoinHashTable::FromOrdinalLists({{{kMinKey, 5}, {kMinKey + 1, 6}}});
+  EXPECT_TRUE(low.DenseKeys());
+  EXPECT_EQ(MatchesOf(low, kMinKey), (std::vector<uint64_t>{5}));
+  EXPECT_EQ(MatchesOf(low, kMinKey + 1), (std::vector<uint64_t>{6}));
+  for (const int64_t miss : {kMinKey + 2, int64_t{0}, kMaxKey}) {
+    EXPECT_TRUE(MatchesOf(low, miss).empty()) << miss;
+  }
+
+  const JoinHashTable high = JoinHashTable::FromOrdinalLists({{{kMaxKey - 1, 7}, {kMaxKey, 8}}});
+  EXPECT_TRUE(high.DenseKeys());
+  EXPECT_EQ(MatchesOf(high, kMaxKey - 1), (std::vector<uint64_t>{7}));
+  EXPECT_EQ(MatchesOf(high, kMaxKey), (std::vector<uint64_t>{8}));
+  for (const int64_t miss : {kMaxKey - 2, int64_t{0}, kMinKey}) {
+    EXPECT_TRUE(MatchesOf(high, miss).empty()) << miss;
+  }
+}
+
+/// A dense table answers probes below its minimum, above its maximum and
+/// into the gaps of its range with no match, and finds every present key.
+TEST(JoinHashTableTest, DenseProbesOutsideAndBetweenKeys) {
+  const JoinHashTable table = JoinHashTable::FromOrdinalLists(
+      {{{20, 1}, {11, 2}}, {{10, 3}, {11, 4}, {13, 5}}, {{20, 6}}});
+  ASSERT_TRUE(table.DenseKeys());
+  const std::map<int64_t, std::vector<uint64_t>> expected = {
+      {10, {3}}, {11, {2, 4}}, {13, {5}}, {20, {1, 6}}};
+  for (int64_t key = -5; key <= 30; key++) {
+    const auto it = expected.find(key);
+    EXPECT_EQ(MatchesOf(table, key), it == expected.end() ? std::vector<uint64_t>{} : it->second)
+        << "key " << key;
+  }
+  EXPECT_TRUE(MatchesOf(table, kMinKey).empty());
+  EXPECT_TRUE(MatchesOf(table, kMaxKey).empty());
+}
+
+/// A one-entry table (one bucket) matches its key and nothing else.
+TEST(JoinHashTableTest, OneEntryTable) {
+  const JoinHashTable table = JoinHashTable::FromOrdinalLists({{}, {{42, 7}}});
+  EXPECT_EQ(table.NumEntries(), 1u);
+  EXPECT_TRUE(table.DenseKeys());
+  EXPECT_EQ(MatchesOf(table, 42), (std::vector<uint64_t>{7}));
+  for (const int64_t miss : {int64_t{41}, int64_t{43}, int64_t{0}, kMinKey, kMaxKey}) {
+    EXPECT_TRUE(MatchesOf(table, miss).empty()) << miss;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, HashJoinTest,

@@ -457,6 +457,18 @@ TEST_F(MetricsProfilingTest, ExplainReportsQ3Operators) {
     total_scanned += pipe.scan.rows;
   }
   EXPECT_EQ(total_scanned, profiled.stats.rows);
+  // Each join build's table is constructed in its Finish, which the profile
+  // times per operator; the pipeline's finish phase covers every operator's.
+  for (const op::PipelineProfile &pipe : profile.pipelines) {
+    uint64_t op_finish_ns = 0;
+    for (const op::OperatorProfile &op : pipe.operators) {
+      if (op.label == "HashJoinBuild") {
+        EXPECT_GT(op.finish_ns, 0u) << "unprofiled build Finish";
+      }
+      op_finish_ns += op.finish_ns;
+    }
+    EXPECT_LE(op_finish_ns, pipe.finish_ns);
+  }
 
   const std::string explain = profile.ToString();
   for (const char *label :

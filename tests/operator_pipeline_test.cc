@@ -1021,6 +1021,25 @@ class ThrowOnceOp final : public op::Operator {
   uint64_t rows_ = 0;
 };
 
+/// Records, per block, the capacity of the pooled chunk's two match lists as
+/// the chunk enters the pipeline — what the previous block's Reset retained.
+class MatchCapacityOp final : public op::Operator {
+ public:
+  void Prepare(size_t num_blocks) override {
+    matches_.assign(num_blocks, 0);
+    prior_matches_.assign(num_blocks, 0);
+  }
+
+  void Push(op::Chunk *chunk) override {
+    matches_[chunk->block_ordinal] = chunk->matches.capacity();
+    prior_matches_[chunk->block_ordinal] = chunk->prior_matches.capacity();
+    PushNext(chunk);
+  }
+
+  std::vector<size_t> matches_;
+  std::vector<size_t> prior_matches_;
+};
+
 }  // namespace
 
 /// The chunk pool's shrink policy: one block inflating the match list or the
@@ -1051,6 +1070,61 @@ TEST_P(OperatorPipelineTest, ChunkPoolShrinksPathologicalCapacity) {
   plan.Run(txn, nullptr, nullptr);  // inline: one pooled chunk, blocks in order
   txn_manager_.Commit(txn);
   EXPECT_GE(inflate->blocks_seen_, 4u);
+  gc_.FullGC();
+}
+
+/// A chained probe swaps the first probe's match list into the chunk's
+/// second pooled buffer instead of a local, so both lists keep their capacity
+/// across Resets — even when the second probe matches nothing and leaves the
+/// chunk unpushed.
+TEST_P(OperatorPipelineTest, ChainedProbeKeepsPooledMatchCapacity) {
+  const catalog::Schema schema(
+      {{"id", catalog::TypeId::kBigInt}, {"fk", catalog::TypeId::kBigInt}});
+  catalog::SqlTable *table = catalog_.GetTable(catalog_.CreateTable("chained", schema));
+  catalog::SqlTable *hits = catalog_.GetTable(catalog_.CreateTable("hits", schema));
+  catalog::SqlTable *misses = catalog_.GetTable(catalog_.CreateTable("misses", schema));
+  const auto init = table->FullInitializer();
+  std::vector<byte> buffer(init.ProjectedRowSize() + 8);
+  auto *txn = txn_manager_.BeginTransaction();
+  const auto insert = [&](catalog::SqlTable *target, int64_t id, int64_t fk) {
+    ProjectedRow *row = init.InitializeRow(buffer.data());
+    workload::Set<int64_t>(row, 0, id);
+    workload::Set<int64_t>(row, 1, fk);
+    target->Insert(txn, *row);
+  };
+  for (int64_t k = 0; k < 7; k++) {
+    insert(hits, k, k);
+    insert(misses, k + 100, k);
+  }
+  int64_t next_id = 0;
+  while (table->UnderlyingTable().NumBlocks() < 4) {
+    insert(table, next_id, next_id % 7);
+    next_id++;
+  }
+  txn_manager_.Commit(txn);
+  gc_.FullGC();
+
+  txn = txn_manager_.BeginTransaction();
+  op::PhysicalPlan plan;
+  op::PipelineBuilder builder(&plan);
+  builder.Scan(hits, {0, 1});
+  op::HashJoinBuildOp *hit_build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+  builder.Scan(misses, {0, 1});
+  op::HashJoinBuildOp *miss_build = builder.JoinBuild(0, op::PayloadSpec::Int64Column(1));
+  op::Pipeline *pipe = plan.AddPipeline(table, {0, 1});
+  MatchCapacityOp *capacity = pipe->Add<MatchCapacityOp>();
+  pipe->Add<op::HashJoinProbeOp>(/*key_col=*/1, hit_build);
+  pipe->Add<op::HashJoinProbeOp>(/*key_col=*/1, miss_build);
+  plan.Run(txn, nullptr, nullptr);  // inline: one pooled chunk, blocks in order
+  txn_manager_.Commit(txn);
+
+  ASSERT_GE(capacity->matches_.size(), 4u);
+  // Block 0 starts from empty buffers; by block 2 each list has been filled
+  // once and swapped into the other, and Reset kept both.
+  for (size_t ordinal = 2; ordinal < capacity->matches_.size(); ordinal++) {
+    EXPECT_GT(capacity->matches_[ordinal], 0u) << "block " << ordinal;
+    EXPECT_GT(capacity->prior_matches_[ordinal], 0u) << "block " << ordinal;
+  }
   gc_.FullGC();
 }
 
