@@ -7,6 +7,9 @@
 // toward the vectorized protocol as the hot fraction grows; the PostgreSQL
 // row protocol is slowest and insensitive to the frozen fraction (the
 // serialization step dominates either way).
+//
+// Exits non-zero when any exporter delivers a row count other than the
+// table's, so a run doubles as an export correctness smoke test.
 
 #include "bench_util.h"
 #include "common/rand_util.h"
@@ -76,9 +79,12 @@ int main() {
   std::printf("%-9s %10s %14s %18s %18s\n", "%frozen", "rdma", "arrow-flight",
               "vectorized-wire", "postgres-wire");
 
+  int exit_code = 0;
   for (const uint32_t frozen : {0u, 1u, 5u, 10u, 20u, 40u, 60u, 80u, 100u}) {
     mainline::catalog::SqlTable *table = nullptr;
     auto engine = BuildOrderLineTable(num_blocks, frozen, &table);
+    const uint64_t table_rows =
+        static_cast<uint64_t>(num_blocks) * table->UnderlyingTable().GetLayout().NumSlots();
     // Generous client buffer: raw data is ~1 MB/block; text encodings bloat.
     ClientBuffer client(static_cast<uint64_t>(num_blocks + 4) * (4u << 20));
 
@@ -94,6 +100,12 @@ int main() {
     exporters[3] = &pg;
     for (int i = 0; i < 4; i++) {
       const ExportResult result = exporters[i]->Export(table, &engine->txn_manager);
+      if (result.rows != table_rows) {
+        std::fprintf(stderr, "FAIL: %s exported %llu rows of %llu at %u%% frozen\n",
+                     exporters[i]->Name(), static_cast<unsigned long long>(result.rows),
+                     static_cast<unsigned long long>(table_rows), frozen);
+        exit_code = 1;
+      }
       // Throughput in terms of payload delivered to the client.
       mbps[i] = static_cast<double>(result.wire_bytes) / (1 << 20) /
                 (static_cast<double>(result.micros) / 1e6);
@@ -102,5 +114,5 @@ int main() {
     std::printf("%-9u %10.1f %14.1f %18.1f %18.1f\n", frozen, mbps[0], mbps[1], mbps[2],
                 mbps[3]);
   }
-  return 0;
+  return exit_code;
 }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 
+#include "catalog/schema.h"
 #include "metrics/engine_metrics.h"
+#include "storage/data_table.h"
+#include "transform/arrow_reader.h"
 
 namespace mainline::execution {
 
@@ -30,23 +33,21 @@ void ParallelTableScanner::Scan(common::WorkerPool *pool, const ConsumeFn &consu
   {
     common::SpinLatch::ScopedSpinLatch guard(&stats_latch_);
     stats_ = ScanStats{};
-    worker_stats_.assign(workers == 0 ? 1 : workers, ScanStats{});
   }
 
   if (workers == 0) {
     // No usable pool: the cursor machinery still hands out morsels, just to
     // this one thread.
-    WorkerLoop(0, consume);
+    WorkerLoop(consume);
   } else {
     // One long-running task per worker, each draining the shared cursor —
     // morsel dispatch is the atomic fetch_add, not the task queue, so the
     // queue sees O(workers) entries rather than O(blocks).
     for (uint32_t w = 0; w < workers; w++) {
-      const bool accepted =
-          pool->SubmitTask([this, w, &consume] { WorkerLoop(w, consume); });
+      const bool accepted = pool->SubmitTask([this, &consume] { WorkerLoop(consume); });
       // A pool shut down between NumWorkers() and here rejects the submit;
       // run that worker's share inline instead of losing it.
-      if (!accepted) WorkerLoop(w, consume);
+      if (!accepted) WorkerLoop(consume);
     }
     pool->WaitUntilAllFinished();
   }
@@ -63,24 +64,23 @@ void ParallelTableScanner::Scan(common::WorkerPool *pool, const ConsumeFn &consu
   scan_metrics.hot_blocks->Add(total.hot_blocks);
 }
 
-void ParallelTableScanner::WorkerLoop(size_t worker_index, const ConsumeFn &consume) {
-  // Accumulate locally and fold into both views at loop exit: the worker's
-  // contribution lands in the merged total on *every* path out of this loop,
-  // rather than relying on a post-wait sweep on the driving thread.
+void ParallelTableScanner::WorkerLoop(const ConsumeFn &consume) {
+  // Accumulate locally and fold into the merged total at loop exit: the
+  // worker's contribution lands on *every* path out of this loop, rather
+  // than relying on a post-wait sweep on the driving thread.
   ScanStats stats;
-  ColumnVectorBatch batch;
+  const catalog::Schema &schema = table_->GetSchema();
+  storage::DataTable *data_table = &table_->UnderlyingTable();
   while (true) {
     // relaxed: morsel dispatch needs only a unique ordinal per worker; block
     // contents are synchronized by the storage layer, not by this counter.
     const size_t ordinal = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (ordinal >= blocks_.size()) break;
-    if (TableScanner::ScanBlock(table_, txn_, projection_, blocks_[ordinal], &batch, &stats)) {
-      consume(ordinal, &batch);
-      batch.Release();
-    }
+    ColumnVectorBatch batch =
+        transform::ArrowReader::ReadBlock(schema, data_table, blocks_[ordinal], txn_, &projection_);
+    if (stats.Count(batch)) consume(ordinal, &batch);
   }
   common::SpinLatch::ScopedSpinLatch guard(&stats_latch_);
-  worker_stats_[worker_index].Add(stats);
   stats_.Add(stats);
 }
 

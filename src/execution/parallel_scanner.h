@@ -80,25 +80,18 @@ class ParallelTableScanner {
     return stats_;
   }
 
-  /// Per-worker statistics of the last Scan (one entry per pool worker).
-  std::vector<ScanStats> WorkerStats() const EXCLUDES(stats_latch_) {
-    common::SpinLatch::ScopedSpinLatch guard(&stats_latch_);
-    return worker_stats_;
-  }
-
  private:
   /// Claim morsels from the shared cursor until the table is exhausted.
-  void WorkerLoop(size_t worker_index, const ConsumeFn &consume) EXCLUDES(stats_latch_);
+  void WorkerLoop(const ConsumeFn &consume) EXCLUDES(stats_latch_);
 
   catalog::SqlTable *table_;
   transaction::TransactionContext *txn_;
   std::vector<uint16_t> projection_;
   std::vector<storage::RawBlock *> blocks_;
   std::atomic<size_t> cursor_{0};
-  /// Guards the exiting workers' folds into worker_stats_ and stats_, plus
-  /// the driving thread's reset and post-scan reads.
+  /// Guards the exiting workers' folds into stats_, plus the driving
+  /// thread's reset and post-scan reads.
   mutable common::SpinLatch stats_latch_;
-  std::vector<ScanStats> worker_stats_ GUARDED_BY(stats_latch_);
   ScanStats stats_ GUARDED_BY(stats_latch_);
 };
 

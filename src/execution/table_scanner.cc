@@ -40,49 +40,13 @@ uint16_t TableScanner::BatchIndex(uint16_t schema_pos) const {
   return ProjectionIndexOf(projection_, schema_pos);
 }
 
-bool TableScanner::ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                             const std::vector<uint16_t> &projection, storage::RawBlock *block,
-                             ColumnVectorBatch *out, ScanStats *stats) {
-  storage::DataTable &data_table = table->UnderlyingTable();
-  const catalog::Schema &schema = table->GetSchema();
-
-  if (block->controller.TryAcquireRead()) {
-    // Frozen path: wrap the block's buffers, no copies. The read lock
-    // travels with the batch and is released when the caller is done.
-    auto batch =
-        transform::ArrowReader::FromFrozenBlock(schema, data_table, block, &projection);
-    if (batch != nullptr) {
-      stats->frozen_blocks++;
-      if (batch->num_rows() == 0) {
-        block->controller.ReleaseRead();
-        return false;
-      }
-      stats->rows += static_cast<uint64_t>(batch->num_rows());
-      out->Reset(std::move(batch), AccessPath::kFrozenInSitu, block);
-      return true;
-    }
-    // Frozen but no Arrow metadata: should not happen, but the
-    // transactional path is always correct, so fall through to it.
-    block->controller.ReleaseRead();
-  }
-
-  // Hot path: early materialization of the visible version of every tuple
-  // through the scan transaction.
-  auto batch =
-      transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn, &projection);
-  stats->hot_blocks++;
-  if (batch->num_rows() == 0) return false;
-  stats->rows += static_cast<uint64_t>(batch->num_rows());
-  out->Reset(std::move(batch), AccessPath::kHotMaterialized, nullptr);
-  return true;
-}
-
 bool TableScanner::Next(ColumnVectorBatch *out) {
   while (next_block_ < blocks_.size()) {
-    if (ScanBlock(table_, txn_, projection_, blocks_[next_block_++], out, &stats_)) {
-      return true;
-    }
+    *out = transform::ArrowReader::ReadBlock(table_->GetSchema(), &table_->UnderlyingTable(),
+                                             blocks_[next_block_++], txn_, &projection_);
+    if (stats_.Count(*out)) return true;
   }
+  out->Release();
   return false;
 }
 

@@ -29,23 +29,22 @@ struct ScanStats {
     hot_blocks += other.hot_blocks;
     rows += other.rows;
   }
+
+  /// Count one block read (empty blocks count toward the block counters).
+  /// \return true if `batch` holds rows.
+  bool Count(const ColumnVectorBatch &batch) {
+    (batch.Path() == AccessPath::kFrozenInSitu ? frozen_blocks : hot_blocks)++;
+    rows += static_cast<uint64_t>(batch.NumRows());
+    return batch.NumRows() != 0;
+  }
 };
 
 /// Block-at-a-time scan over a SqlTable with the paper's dual access path
-/// (Section 4.1): a block that is frozen is read in situ — its buffers are
-/// wrapped into zero-copy Arrow arrays under the block's read lock, with no
-/// per-tuple work at all — while a hot (or cooling/freezing) block falls back
-/// to early materialization, resolving each tuple's visible version through
-/// the scan's transaction with ProjectedRow. Both paths surface the same
-/// ColumnVectorBatch view, so operators upstream are path-oblivious.
-///
-/// Snapshot semantics: the hot path is MVCC-consistent by construction
-/// (DataTable::Select). The frozen path is consistent with the same snapshot
-/// because (a) a block only freezes after every transaction that overlapped
-/// its compaction has finished, so a block can never freeze under a snapshot
-/// that predates its frozen contents, and (b) any later writer flips the
-/// block hot *before* modifying it, which makes TryAcquireRead fail and
-/// routes this scanner to the transactional path.
+/// (Section 4.1): every block goes through transform::ArrowReader::ReadBlock,
+/// which reads a frozen block in situ under its read lock and materializes
+/// any other block through the scan's transaction. Both paths surface the
+/// same ColumnVectorBatch view, so operators upstream are path-oblivious,
+/// and ReadBlock documents why the two paths read one snapshot.
 class TableScanner {
  public:
   /// \param table table to scan (block list is snapshotted here)
@@ -62,16 +61,6 @@ class TableScanner {
   /// \return true if `out` was (re)bound to a new block's data; false when
   ///         the table is exhausted.
   bool Next(ColumnVectorBatch *out);
-
-  /// Scan one block through the dual access path — the unit of work both
-  /// this sequential scanner and ParallelTableScanner's morsels are built
-  /// from. Thread-safe for concurrent calls sharing one read-only `txn`:
-  /// both paths only read transaction state.
-  /// \return true if `out` now holds a non-empty batch (empty blocks still
-  ///         count toward `stats`' block counters).
-  static bool ScanBlock(catalog::SqlTable *table, transaction::TransactionContext *txn,
-                        const std::vector<uint16_t> &projection, storage::RawBlock *block,
-                        ColumnVectorBatch *out, ScanStats *stats);
 
   const ScanStats &Stats() const { return stats_; }
 

@@ -102,53 +102,6 @@ inline void FilterStringIn(const arrowlite::Array &col, common::SelectionVector 
   });
 }
 
-/// Refine `sel` to rows whose string value equals `target`. For
-/// dictionary-encoded columns the comparison collapses to an integer compare:
-/// the (sorted, duplicate-free) dictionary is probed once for the target's
-/// code and rows are matched on codes alone.
-inline void FilterStringEq(const arrowlite::Array &col, common::SelectionVector *sel,
-                           std::string_view target) {
-  if (col.type() == arrowlite::Type::kDictionary) {
-    const arrowlite::Array &dict = *col.dictionary();
-    int32_t code = -1;
-    for (int64_t i = 0; i < dict.length(); i++) {
-      if (dict.GetString(i) == target) {
-        code = static_cast<int32_t>(i);
-        break;
-      }
-    }
-    if (code < 0) {
-      sel->Refine([](uint32_t) { return false; });
-      return;
-    }
-    const int32_t *codes = col.buffer(0)->data_as<int32_t>();
-    if (col.null_count() == 0) {
-      sel->Refine([&](uint32_t row) { return codes[row] == code; });
-    } else {
-      sel->Refine([&](uint32_t row) { return !col.IsNull(row) && codes[row] == code; });
-    }
-    return;
-  }
-  sel->Refine([&](uint32_t row) { return !col.IsNull(row) && col.GetString(row) == target; });
-}
-
-/// acc += sum of `col[row]` over the selection, accumulated row-at-a-time.
-/// Null rows are skipped (SQL aggregate semantics); for frozen in-situ
-/// batches a null slot's bytes are arbitrary block storage, so they must
-/// never reach the accumulator.
-template <typename T>
-void AccumulateSum(const arrowlite::Array &col, const common::SelectionVector &sel,
-                   double *acc) {
-  const T *values = col.buffer(0)->template data_as<T>();
-  if (col.null_count() == 0) {
-    for (const uint32_t row : sel) *acc += static_cast<double>(values[row]);
-  } else {
-    for (const uint32_t row : sel) {
-      if (!col.IsNull(row)) *acc += static_cast<double>(values[row]);
-    }
-  }
-}
-
 /// acc += sum of `a[row] * b[row]` over the selection (e.g. Q6's
 /// extendedprice * discount), accumulated row-at-a-time. Rows where either
 /// operand is null are skipped.
@@ -162,23 +115,6 @@ inline void AccumulateDotProduct(const arrowlite::Array &a, const arrowlite::Arr
     for (const uint32_t row : sel) {
       if (!a.IsNull(row) && !b.IsNull(row)) *acc += va[row] * vb[row];
     }
-  }
-}
-
-/// \return count of selected rows (trivial, for symmetry with the other
-/// aggregates).
-inline uint64_t Count(const common::SelectionVector &sel) { return sel.Size(); }
-
-/// Running MIN/MAX over the selection, skipping null rows.
-template <typename T>
-void AccumulateMinMax(const arrowlite::Array &col, const common::SelectionVector &sel, T *min,
-                      T *max) {
-  const T *values = col.buffer(0)->template data_as<T>();
-  for (const uint32_t row : sel) {
-    if (col.null_count() != 0 && col.IsNull(row)) continue;
-    const T v = values[row];
-    if (v < *min) *min = v;
-    if (v > *max) *max = v;
   }
 }
 

@@ -26,9 +26,10 @@ struct ExportResult {
   uint64_t hot_blocks = 0;
 };
 
-/// A bulk data-export mechanism (Section 5). Implementations walk the
-/// table's blocks; frozen blocks may be read in place under the block read
-/// lock, hot blocks must be materialized through a transaction first.
+/// A bulk data-export mechanism (Section 5). Each Export reads one snapshot
+/// of the table: it begins one transaction and reads every block through
+/// transform::ArrowReader::ReadBlock, which serves a frozen block in place
+/// under its read lock and materializes a hot one through that transaction.
 class Exporter {
  public:
   virtual ~Exporter() = default;

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "arrowlite/builder.h"
 #include "arrowlite/io.h"
@@ -12,14 +13,8 @@
 #include "catalog/schema.h"
 #include "catalog/sql_table.h"
 #include "common/timer.h"
-#include "storage/arrow_block_metadata.h"
-#include "storage/block_access_controller.h"
 #include "storage/data_table.h"
-#include "storage/projected_row.h"
 #include "storage/raw_block.h"
-#include "storage/storage_defs.h"
-#include "storage/storage_util.h"
-#include "storage/varlen_entry.h"
 #include "transaction/transaction_context.h"
 #include "transaction/transaction_manager.h"
 #include "transform/arrow_reader.h"
@@ -29,9 +24,7 @@ namespace mainline::exporter {
 namespace {
 
 using catalog::TypeId;
-using storage::BlockState;
 using storage::RawBlock;
-using storage::TupleSlot;
 
 /// Encode one value as protocol text into `out`; \return length.
 int EncodeText(TypeId type, const byte *value, char *out, size_t out_size) {
@@ -61,47 +54,32 @@ int EncodeText(TypeId type, const byte *value, char *out, size_t out_size) {
   return 0;
 }
 
-/// Visit every visible tuple of the table, with the frozen-block fast path:
-/// frozen blocks are read in place under the block read lock, other blocks
-/// through a transactional snapshot. `visit(slot_values, row_from_block)` is
-/// called with a full-row ProjectedRow.
-template <typename Visit>
-std::pair<uint64_t, uint64_t> ForEachRow(catalog::SqlTable *table,
-                                         transaction::TransactionManager *txn_manager,
-                                         Visit visit) {
-  storage::DataTable &data_table = table->UnderlyingTable();
-  const storage::ProjectedRowInitializer &initializer = data_table.FullRowInitializer();
-  std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
-  uint64_t frozen_blocks = 0, hot_blocks = 0;
+/// The bytes of fixed-width value `row` of `col`: both access paths lay a
+/// fixed-width column out at its attribute size.
+const byte *FixedValue(const arrowlite::Array &col, int64_t row, uint32_t attr_size) {
+  return col.buffer(0)->data() + static_cast<uint64_t>(attr_size) * static_cast<uint64_t>(row);
+}
 
+/// One export's snapshot: read every block of `table` through
+/// ArrowReader::ReadBlock under a single transaction, tally rows and access
+/// paths into `result`, and hand each full-row batch to `write`. A frozen
+/// block's read lock is held only while its batch is written.
+template <typename Write>
+void ForEachBlock(catalog::SqlTable *table, transaction::TransactionManager *txn_manager,
+                  ExportResult *result, Write write) {
+  storage::DataTable &data_table = table->UnderlyingTable();
+  // Begin before listing the blocks, so every block holding a row this
+  // snapshot can see is on the list.
+  transaction::TransactionContext *txn = txn_manager->BeginTransaction();
   for (RawBlock *block : data_table.Blocks()) {
-    if (block->controller.TryAcquireRead()) {
-      frozen_blocks++;
-      const uint32_t n = block->arrow_metadata == nullptr
-                             ? 0
-                             : block->arrow_metadata->NumRecords();
-      for (uint32_t i = 0; i < n; i++) {
-        storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
-        for (uint16_t c = 0; c < row->NumColumns(); c++) {
-          storage::StorageUtil::CopyAttrIntoProjection(data_table.Accessor(),
-                                                       TupleSlot(block, i), row, c);
-        }
-        visit(*row);
-      }
-      block->controller.ReleaseRead();
-    } else {
-      hot_blocks++;
-      transaction::TransactionContext *txn = txn_manager->BeginTransaction();
-      const uint32_t limit = block->insert_head.load(std::memory_order_acquire);
-      for (uint32_t i = 0; i < limit; i++) {
-        storage::ProjectedRow *row = initializer.InitializeRow(buffer.data());
-        if (!data_table.Select(txn, TupleSlot(block, i), row)) continue;
-        visit(*row);
-      }
-      txn_manager->Commit(txn);
-    }
+    const transform::BlockRead read =
+        transform::ArrowReader::ReadBlock(table->GetSchema(), &data_table, block, txn);
+    (read.Path() == transform::AccessPath::kFrozenInSitu ? result->frozen_blocks
+                                                         : result->hot_blocks)++;
+    result->rows += static_cast<uint64_t>(read.NumRows());
+    write(*read.Batch());
   }
-  return {frozen_blocks, hot_blocks};
+  txn_manager->Commit(txn);
 }
 
 /// Client-side parse of the text protocol back into a columnar batch — the
@@ -215,30 +193,30 @@ ExportResult PostgresWireExporter::Export(catalog::SqlTable *table,
     }
 
     char text[64];
-    auto [frozen, hot] = ForEachRow(table, txn_manager, [&](const storage::ProjectedRow &row) {
-      client_->WriteValue<char>('D');
-      client_->WriteValue<uint16_t>(row.NumColumns());
-      for (uint16_t c = 0; c < row.NumColumns(); c++) {
-        const byte *value = row.AccessWithNullCheck(c);
-        if (value == nullptr) {
-          client_->WriteValue<int32_t>(-1);
-          continue;
-        }
-        const TypeId type = schema.GetColumn(c).Type();
-        if (type == TypeId::kVarchar) {
-          const auto *entry = reinterpret_cast<const storage::VarlenEntry *>(value);
-          client_->WriteValue<int32_t>(static_cast<int32_t>(entry->Size()));
-          client_->Write(entry->Content(), entry->Size());
-        } else {
-          const int len = EncodeText(type, value, text, sizeof(text));
-          client_->WriteValue<int32_t>(len);
-          client_->Write(reinterpret_cast<const byte *>(text), static_cast<uint64_t>(len));
+    ForEachBlock(table, txn_manager, &result, [&](const arrowlite::RecordBatch &batch) {
+      for (int64_t r = 0; r < batch.num_rows(); r++) {
+        client_->WriteValue<char>('D');
+        client_->WriteValue<uint16_t>(schema.NumColumns());
+        for (uint16_t c = 0; c < schema.NumColumns(); c++) {
+          const arrowlite::Array &col = *batch.column(c);
+          if (col.IsNull(r)) {
+            client_->WriteValue<int32_t>(-1);
+            continue;
+          }
+          const catalog::Column &column = schema.GetColumn(c);
+          if (column.IsVarlen()) {
+            const std::string_view value = col.GetString(r);
+            client_->WriteValue<int32_t>(static_cast<int32_t>(value.size()));
+            client_->Write(reinterpret_cast<const byte *>(value.data()), value.size());
+          } else {
+            const int len = EncodeText(column.Type(), FixedValue(col, r, column.AttrSize()),
+                                       text, sizeof(text));
+            client_->WriteValue<int32_t>(len);
+            client_->Write(reinterpret_cast<const byte *>(text), static_cast<uint64_t>(len));
+          }
         }
       }
-      result.rows++;
     });
-    result.frozen_blocks = frozen;
-    result.hot_blocks = hot;
     // Client side: parse the wire text back into a columnar batch.
     client_batch_ = ParsePostgresWire(schema, client_->data(), client_->size());
   }
@@ -278,35 +256,32 @@ ExportResult VectorizedWireExporter::Export(catalog::SqlTable *table,
       chunk_rows = 0;
     };
 
-    auto [frozen, hot] = ForEachRow(table, txn_manager, [&](const storage::ProjectedRow &row) {
-      for (uint16_t c = 0; c < row.NumColumns(); c++) {
-        const byte *value = row.AccessWithNullCheck(c);
-        null_flags[c].push_back(value == nullptr ? 1 : 0);
-        if (value == nullptr) {
-          if (!schema.GetColumn(c).IsVarlen()) {
-            fixed_chunks[c].insert(fixed_chunks[c].end(), schema.GetColumn(c).AttrSize(),
-                                   byte{0});
+    ForEachBlock(table, txn_manager, &result, [&](const arrowlite::RecordBatch &batch) {
+      for (int64_t r = 0; r < batch.num_rows(); r++) {
+        for (uint16_t c = 0; c < schema.NumColumns(); c++) {
+          const arrowlite::Array &col = *batch.column(c);
+          const catalog::Column &column = schema.GetColumn(c);
+          const bool null = col.IsNull(r);
+          null_flags[c].push_back(null ? 1 : 0);
+          if (column.IsVarlen()) {
+            if (null) continue;
+            const std::string_view value = col.GetString(r);
+            const auto size = static_cast<uint32_t>(value.size());
+            const auto *size_bytes = reinterpret_cast<const byte *>(&size);
+            const auto *value_bytes = reinterpret_cast<const byte *>(value.data());
+            varlen_chunks[c].insert(varlen_chunks[c].end(), size_bytes, size_bytes + 4);
+            varlen_chunks[c].insert(varlen_chunks[c].end(), value_bytes, value_bytes + size);
+          } else if (null) {
+            fixed_chunks[c].insert(fixed_chunks[c].end(), column.AttrSize(), byte{0});
+          } else {
+            const byte *value = FixedValue(col, r, column.AttrSize());
+            fixed_chunks[c].insert(fixed_chunks[c].end(), value, value + column.AttrSize());
           }
-          continue;
         }
-        if (schema.GetColumn(c).IsVarlen()) {
-          const auto *entry = reinterpret_cast<const storage::VarlenEntry *>(value);
-          const uint32_t size = entry->Size();
-          const auto *size_bytes = reinterpret_cast<const byte *>(&size);
-          varlen_chunks[c].insert(varlen_chunks[c].end(), size_bytes, size_bytes + 4);
-          varlen_chunks[c].insert(varlen_chunks[c].end(), entry->Content(),
-                                  entry->Content() + size);
-        } else {
-          fixed_chunks[c].insert(fixed_chunks[c].end(), value,
-                                 value + schema.GetColumn(c).AttrSize());
-        }
+        if (++chunk_rows == kChunkRows) flush_chunk();
       }
-      result.rows++;
-      if (++chunk_rows == kChunkRows) flush_chunk();
     });
     flush_chunk();
-    result.frozen_blocks = frozen;
-    result.hot_blocks = hot;
 
     // Client side: reassemble arrays from the chunked wire format.
     {
@@ -451,33 +426,14 @@ ExportResult ArrowFlightExporter::Export(catalog::SqlTable *table,
   client_->Reset();
   client_batches_.clear();
   ExportResult result;
-  const catalog::Schema &schema = table->GetSchema();
-  storage::DataTable &data_table = table->UnderlyingTable();
   {
     common::ScopedTimer<std::chrono::microseconds> timer(&result.micros);
-    auto arrow_schema = transform::ArrowReader::ToArrowSchema(schema);
+    auto arrow_schema = transform::ArrowReader::ToArrowSchema(table->GetSchema());
     arrowlite::IpcStreamWriter writer(client_, *arrow_schema);
-    for (RawBlock *block : data_table.Blocks()) {
-      if (block->controller.TryAcquireRead()) {
-        // Zero-copy: the block's buffers go onto the wire verbatim.
-        result.frozen_blocks++;
-        auto batch = transform::ArrowReader::FromFrozenBlock(schema, data_table, block);
-        if (batch != nullptr) {
-          writer.WriteBatch(*batch);
-          result.rows += static_cast<uint64_t>(batch->num_rows());
-        }
-        block->controller.ReleaseRead();
-      } else {
-        // Hot block: materialize a transactional snapshot first.
-        result.hot_blocks++;
-        transaction::TransactionContext *txn = txn_manager->BeginTransaction();
-        auto batch =
-            transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn);
-        txn_manager->Commit(txn);
-        writer.WriteBatch(*batch);
-        result.rows += static_cast<uint64_t>(batch->num_rows());
-      }
-    }
+    // Frozen blocks' buffers go onto the wire verbatim; hot blocks are
+    // materialized from the export's snapshot first.
+    ForEachBlock(table, txn_manager, &result,
+                 [&](const arrowlite::RecordBatch &batch) { writer.WriteBatch(batch); });
     writer.Close();
     // Client side: land the stream (no per-value parsing).
     arrowlite::SpanSource source(client_->data(), client_->size());
@@ -492,8 +448,6 @@ ExportResult RdmaExporter::Export(catalog::SqlTable *table,
                                   transaction::TransactionManager *txn_manager) {
   client_->Reset();
   ExportResult result;
-  const catalog::Schema &schema = table->GetSchema();
-  storage::DataTable &data_table = table->UnderlyingTable();
   {
     common::ScopedTimer<std::chrono::microseconds> timer(&result.micros);
     auto write_batch_raw = [&](const arrowlite::RecordBatch &batch) {
@@ -511,26 +465,11 @@ ExportResult RdmaExporter::Export(catalog::SqlTable *table,
           client_->Write(dict.buffer(1)->data(), dict.buffer(1)->size());
         }
       }
-      result.rows += static_cast<uint64_t>(batch.num_rows());
     };
 
-    for (RawBlock *block : data_table.Blocks()) {
-      if (block->controller.TryAcquireRead()) {
-        // One-sided transfer of the block's Arrow buffers into client
-        // memory: no serialization, no framing, no server-side encode.
-        result.frozen_blocks++;
-        auto batch = transform::ArrowReader::FromFrozenBlock(schema, data_table, block);
-        if (batch != nullptr) write_batch_raw(*batch);
-        block->controller.ReleaseRead();
-      } else {
-        result.hot_blocks++;
-        transaction::TransactionContext *txn = txn_manager->BeginTransaction();
-        auto batch =
-            transform::ArrowReader::MaterializeBlock(schema, &data_table, block, txn);
-        txn_manager->Commit(txn);
-        write_batch_raw(*batch);
-      }
-    }
+    // One-sided transfer of each block's Arrow buffers into client memory:
+    // no serialization, no framing, no server-side encode.
+    ForEachBlock(table, txn_manager, &result, write_batch_raw);
   }
   result.wire_bytes = client_->size();
   return result;

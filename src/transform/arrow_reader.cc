@@ -138,6 +138,22 @@ std::shared_ptr<arrowlite::RecordBatch> ArrowReader::FromFrozenBlock(
       std::make_shared<arrowlite::Schema>(std::move(fields)), n, std::move(columns));
 }
 
+BlockRead ArrowReader::ReadBlock(const catalog::Schema &schema, storage::DataTable *table,
+                                 storage::RawBlock *block, transaction::TransactionContext *txn,
+                                 const std::vector<uint16_t> *projection) {
+  if (block->controller.TryAcquireRead()) {
+    // Frozen path: wrap the block's buffers, no copies. The read lock
+    // travels with the batch.
+    auto batch = FromFrozenBlock(schema, *table, block, projection);
+    if (batch != nullptr) return {std::move(batch), AccessPath::kFrozenInSitu, block};
+    // Frozen but no Arrow metadata: should not happen, but the
+    // transactional path is always correct, so fall through to it.
+    block->controller.ReleaseRead();
+  }
+  return {MaterializeBlock(schema, table, block, txn, projection), AccessPath::kHotMaterialized,
+          nullptr};
+}
+
 namespace {
 
 template <typename T>

@@ -10,11 +10,9 @@
 
 #include "catalog/catalog.h"
 #include "common/rand_util.h"
-#include "common/selection_vector.h"
 #include "workload/tpch/query_runner.h"
 #include "execution/table_scanner.h"
 #include "workload/tpch/tpch_queries.h"
-#include "execution/vector_ops.h"
 #include "gc/garbage_collector.h"
 #include "storage/arrow_block_metadata.h"
 #include "transform/access_observer.h"
@@ -174,85 +172,6 @@ TEST_P(ExecutionTest, QueriesMatchScalarAcrossFreezeStates) {
   ExpectEnginesAgree(table, &stats);
   EXPECT_GT(stats.frozen_blocks, 0u);
   EXPECT_EQ(stats.hot_blocks, 0u);
-  gc_.FullGC();
-}
-
-/// Exercise the vector_ops primitives the queries do not use directly —
-/// string-equality filtering (dictionary-code fast path and plain strings),
-/// column SUM, COUNT, and MIN/MAX — against a scalar reference, on both
-/// access paths.
-TEST_P(ExecutionTest, VectorOpsPrimitivesMatchScalarReference) {
-  namespace ops = execution::vector_ops;
-  catalog::SqlTable *table = Generate(4000);
-  storage::DataTable &dt = table->UnderlyingTable();
-
-  const auto run = [&](const char *label) {
-    // Scalar reference: rows with l_returnflag == "R".
-    double expected_sum_qty = 0;
-    uint64_t expected_count = 0;
-    uint32_t expected_min_ship = ~0u, expected_max_ship = 0;
-    {
-      auto *txn = txn_manager_.BeginTransaction();
-      const auto init = table->InitializerForColumns(
-          {workload::tpch::L_QUANTITY, workload::tpch::L_RETURNFLAG,
-           workload::tpch::L_SHIPDATE});
-      std::vector<byte> buf(init.ProjectedRowSize() + 8);
-      for (auto it = table->begin(); !it.Done(); ++it) {
-        ProjectedRow *row = init.InitializeRow(buf.data());
-        if (!table->Select(txn, *it, row)) continue;
-        if (workload::GetVarchar(*row, 1) != "R") continue;
-        expected_sum_qty += workload::Get<double>(*row, 0);
-        expected_count++;
-        const uint32_t ship = workload::Get<uint32_t>(*row, 2);
-        if (ship < expected_min_ship) expected_min_ship = ship;
-        if (ship > expected_max_ship) expected_max_ship = ship;
-      }
-      txn_manager_.Commit(txn);
-    }
-    ASSERT_GT(expected_count, 0u) << label;
-
-    // Vectorized: FilterStringEq + AccumulateSum/Count/AccumulateMinMax.
-    auto *txn = txn_manager_.BeginTransaction();
-    TableScanner scanner(table, txn,
-                         {workload::tpch::L_QUANTITY, workload::tpch::L_RETURNFLAG,
-                          workload::tpch::L_SHIPDATE});
-    double sum_qty = 0;
-    uint64_t count = 0, none_count = 0;
-    uint32_t min_ship = ~0u, max_ship = 0;
-    common::SelectionVector sel;
-    ColumnVectorBatch batch;
-    while (scanner.Next(&batch)) {
-      sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
-      ops::FilterStringEq(batch.Column(1), &sel, "R");
-      ops::AccumulateSum<double>(batch.Column(0), sel, &sum_qty);
-      count += ops::Count(sel);
-      if (!sel.Empty()) {
-        ops::AccumulateMinMax<uint32_t>(batch.Column(2), sel, &min_ship, &max_ship);
-      }
-      // A flag value that exists in no row: the filter must empty the
-      // selection (on the dictionary path: probe miss).
-      sel.InitFull(static_cast<uint32_t>(batch.NumRows()));
-      ops::FilterStringEq(batch.Column(1), &sel, "Z");
-      none_count += ops::Count(sel);
-      batch.Release();
-    }
-    txn_manager_.Commit(txn);
-
-    EXPECT_EQ(sum_qty, expected_sum_qty) << label;
-    EXPECT_EQ(count, expected_count) << label;
-    EXPECT_EQ(min_ship, expected_min_ship) << label;
-    EXPECT_EQ(max_ship, expected_max_ship) << label;
-    EXPECT_EQ(none_count, 0u) << label;
-  };
-
-  run("hot (materialized batches)");
-
-  pipeline_.EnqueueTable(&dt);
-  pipeline_.RunOnce();
-  for (storage::RawBlock *block : dt.Blocks()) {
-    ASSERT_EQ(block->controller.GetState(), BlockState::kFrozen);
-  }
-  run("frozen (zero-copy batches)");
   gc_.FullGC();
 }
 

@@ -181,14 +181,6 @@ TEST_P(ParallelExecutionTest, MorselsCoverEveryBlockExactlyOnce) {
   }
   EXPECT_EQ(rows.load(), expect_rows);
   EXPECT_EQ(scanner.Stats().rows, expect_rows);
-
-  // Per-worker stats partition the merged stats.
-  ScanStats summed;
-  for (const ScanStats &s : scanner.WorkerStats()) summed.Add(s);
-  EXPECT_EQ(summed.rows, scanner.Stats().rows);
-  EXPECT_EQ(summed.frozen_blocks, scanner.Stats().frozen_blocks);
-  EXPECT_EQ(summed.hot_blocks, scanner.Stats().hot_blocks);
-  EXPECT_EQ(scanner.WorkerStats().size(), 4u);
   gc_.FullGC();
 }
 
@@ -224,9 +216,9 @@ TEST_P(ParallelExecutionTest, DegradesToInlineScanWithoutUsableWorkers) {
 }
 
 /// Regression: a shut-down pool reports zero workers, so the scan degrades
-/// to the inline path — whose ScanStats must still land in both the merged
-/// Stats() and the WorkerStats() view (one slot for the driving thread).
-/// Each worker folds its partial at loop exit, so no exit path drops stats.
+/// to the inline path — whose ScanStats must still land in the merged
+/// Stats(). Each worker folds its partial at loop exit, so no exit path
+/// drops stats.
 TEST_P(ParallelExecutionTest, ShutDownPoolLosesNoScanStats) {
   const uint64_t expect_rows = RowsForBlocks(1);
   catalog::SqlTable *table = Generate(expect_rows);
@@ -241,19 +233,11 @@ TEST_P(ParallelExecutionTest, ShutDownPoolLosesNoScanStats) {
   });
   txn_manager_.Commit(txn);
 
-  // The merged stats account for every row the callback saw...
+  // The merged stats account for every row the callback saw.
   EXPECT_EQ(rows, expect_rows);
   EXPECT_EQ(scanner.Stats().rows, expect_rows);
   EXPECT_EQ(scanner.Stats().frozen_blocks + scanner.Stats().hot_blocks,
             scanner.NumBlocks());
-  // ...and the per-worker view still partitions them exactly: the whole
-  // scan ran inline, so it collapses to one slot that carries everything.
-  ScanStats summed;
-  for (const ScanStats &s : scanner.WorkerStats()) summed.Add(s);
-  EXPECT_EQ(scanner.WorkerStats().size(), 1u);
-  EXPECT_EQ(summed.rows, scanner.Stats().rows);
-  EXPECT_EQ(summed.frozen_blocks, scanner.Stats().frozen_blocks);
-  EXPECT_EQ(summed.hot_blocks, scanner.Stats().hot_blocks);
   gc_.FullGC();
 }
 
