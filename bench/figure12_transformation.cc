@@ -3,7 +3,9 @@
 //
 //   12a: 50% varlen layout — Hybrid-Gather vs Snapshot vs Transactional
 //        In-Place vs Hybrid-Compress
-//   12b: phase breakdown (compaction vs gather vs dictionary)
+//   12b: phase breakdown (compaction vs gather vs dictionary), with the
+//        gather split into its version/contiguity check, varlen copy and
+//        null counts
 //   12c: all fixed-length columns
 //   12d: all varlen columns
 //
@@ -37,6 +39,7 @@ catalog::Schema VarlenOnlySchema() {
 struct Result {
   double hybrid_gather = 0, snapshot = 0, in_place = 0, hybrid_compress = 0;
   double compaction_us = 0, gather_us = 0, dict_us = 0;
+  double check_us = 0, copy_us = 0, null_us = 0;  // gather_us's phases
 };
 
 Result RunOne(const catalog::Schema &schema, uint32_t num_blocks, uint32_t percent_empty) {
@@ -58,6 +61,9 @@ Result RunOne(const catalog::Schema &schema, uint32_t num_blocks, uint32_t perce
       result.hybrid_gather = throughput;
       result.compaction_us = static_cast<double>(stats.compaction_us) / num_blocks;
       result.gather_us = static_cast<double>(stats.gather_us) / num_blocks;
+      result.check_us = static_cast<double>(stats.gather_check_us) / num_blocks;
+      result.copy_us = static_cast<double>(stats.gather_copy_us) / num_blocks;
+      result.null_us = static_cast<double>(stats.gather_null_us) / num_blocks;
     } else {
       result.hybrid_compress = throughput;
       result.dict_us = static_cast<double>(stats.gather_us) / num_blocks;
@@ -115,10 +121,12 @@ void RunSeries(const char *title, const catalog::Schema &schema, uint32_t num_bl
   }
   if (breakdown) {
     std::printf("\n-- Figure 12b: per-block phase breakdown (us/block) --\n");
-    std::printf("%-8s %12s %14s %12s\n", "%empty", "compaction", "varlen-gather", "dict");
+    std::printf("%-8s %12s %14s %8s %8s %8s %12s\n", "%empty", "compaction", "varlen-gather",
+                "check", "copy", "nulls", "dict");
     for (size_t i = 0; i < results.size(); i++) {
-      std::printf("%-8u %12.1f %14.1f %12.1f\n", empties[i], results[i].compaction_us,
-                  results[i].gather_us, results[i].dict_us);
+      const Result &r = results[i];
+      std::printf("%-8u %12.1f %14.1f %8.1f %8.1f %8.1f %12.1f\n", empties[i], r.compaction_us,
+                  r.gather_us, r.check_us, r.copy_us, r.null_us, r.dict_us);
     }
   }
 }

@@ -14,8 +14,10 @@
 
 namespace mainline::common {
 
-/// A fixed-size pool of worker threads consuming a shared task queue.
-/// Used by benchmarks and the parallel transformation pipeline.
+/// A fixed-size pool of worker threads consuming a shared task queue. Used
+/// by morsel-parallel scans, hash-join builds and operator plans, and by
+/// TransformPipeline, whose pool gathers a pass's blocks. Every task feeds
+/// the process-wide pool.* metrics through PoolTelemetry.
 class WorkerPool {
  public:
   explicit WorkerPool(uint32_t num_workers) {

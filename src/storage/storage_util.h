@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -43,12 +44,21 @@ class StorageUtil {
   }
 
   /// Copy the value at projection index `idx` from the projection into the
-  /// block, preserving nulls.
+  /// block, preserving nulls. A null also zeroes the attribute's bytes:
+  /// blocks are never zeroed on allocation, and a frozen block hands its
+  /// value buffers out as they are, null slots included. Bytes that already
+  /// read zero are not written, so a null in a page no value has touched yet
+  /// leaves that page untouched.
   static void CopyAttrFromProjection(const TupleAccessStrategy &accessor, TupleSlot slot,
                                      const ProjectedRow &from, uint16_t idx) {
     const col_id_t col = from.ColumnIds()[idx];
     const byte *value = from.AccessWithNullCheck(idx);
     if (value == nullptr) {
+      byte *bytes = accessor.AccessWithoutNullCheck(slot, col);
+      const uint16_t size = accessor.GetBlockLayout().AttrSize(col);
+      if (std::any_of(bytes, bytes + size, [](byte b) { return b != byte{0}; })) {
+        std::memset(bytes, 0, size);
+      }
       accessor.SetNull(slot, col);
     } else {
       CopyValue(accessor.GetBlockLayout().AttrSize(col),

@@ -8,6 +8,7 @@
 
 #include "common/timer.h"
 #include "common/typedefs.h"
+#include "metrics/engine_metrics.h"
 #include "storage/arrow_block_metadata.h"
 #include "storage/block_access_controller.h"
 #include "storage/block_layout.h"
@@ -29,6 +30,8 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
                                     std::vector<storage::RawBlock *> *survivors_out) {
   TransformStats local;
   TransformStats *out = stats == nullptr ? &local : stats;
+  const uint64_t moved_before = out->tuples_moved;
+  const uint64_t freed_before = out->blocks_freed;
   uint64_t elapsed_us = 0;
   bool committed = false;
   {
@@ -91,85 +94,126 @@ bool BlockTransformer::CompactGroup(storage::DataTable *table,
     }
   }
   out->compaction_us += elapsed_us;
+  metrics::TransformMetrics &transform_metrics = metrics::Transform();
+  transform_metrics.tuples_moved->Add(out->tuples_moved - moved_before);
+  transform_metrics.blocks_freed->Add(out->blocks_freed - freed_before);
+  if (!committed) transform_metrics.compaction_aborts->Add(1);
   return committed;
 }
 
-bool BlockTransformer::GatherBlock(storage::DataTable *table, storage::RawBlock *block,
-                                   TransformStats *stats) {
-  TransformStats local;
-  TransformStats *out = stats == nullptr ? &local : stats;
-  uint64_t elapsed_us = 0;
-  bool frozen = false;
-  {
-    common::ScopedTimer<std::chrono::microseconds> timer(&elapsed_us);
-    const storage::BlockLayout &layout = table->GetLayout();
+std::vector<storage::RawBlock *> BlockTransformer::PrepareGroup(
+    storage::DataTable *table, const std::vector<storage::RawBlock *> &group,
+    TransformStats *stats) {
+  transaction::timestamp_t commit_ts = transaction::kInvalidTimestamp;
+  std::vector<storage::RawBlock *> survivors;
+  if (!CompactGroup(table, group, stats, &commit_ts, &survivors)) return {};
 
-    // The single-pass scan of the version-pointer column: any residual
-    // version means a transaction raced us; requeue.
-    if (block->controller.GetState() != storage::BlockState::kCooling ||
-        table->HasActiveVersions(block)) {
-      out->gather_retries++;
-      return false;
-    }
-    // The allocated slots must form a contiguous prefix for Arrow; otherwise
-    // the block needs another compaction pass.
-    const uint32_t filled = table->FilledSlots(block);
-    const auto *bitmap = table->Accessor().AllocationBitmap(block);
-    for (uint32_t i = 0; i < filled; i++) {
-      if (!bitmap->Test(i)) {
-        out->gather_retries++;
-        return false;
-      }
-    }
-    // Take the exclusive lock; fails if a user transaction preempted cooling.
-    if (!block->controller.TrySetFreezing()) {
-      out->gather_retries++;
-      return false;
-    }
-
-    auto *metadata = new storage::ArrowBlockMetadata(filled, layout.NumColumns());
-    std::vector<const byte *> old_buffers;
-    bool ok;
-    if (mode_ == GatherMode::kVarlenGather) {
-      ok = GatherVarlen(table, block, filled, metadata, &old_buffers);
-    } else {
-      ok = GatherDictionary(table, block, filled, metadata, &old_buffers);
-    }
-    MAINLINE_ASSERT(ok, "gathering under the freezing lock cannot fail");
-    (void)ok;
-
-    // Null counts for fixed-length columns (varlen ones are filled by the
-    // gather passes above, in the same scan).
-    for (uint16_t i = 0; i < layout.NumColumns(); i++) {
-      const storage::col_id_t col(i);
-      if (layout.IsVarlen(col)) continue;
-      auto &info = metadata->Column(i);
-      info.type = storage::ArrowColumnType::kFixed;
-      info.null_count =
-          filled - table->Accessor().ColumnNullBitmap(block, col)->CountSet(filled);
-    }
-
-    storage::ArrowBlockMetadata *old_metadata = block->arrow_metadata;
-    block->arrow_metadata = metadata;
-    block->controller.SetFrozen();
-
-    // Readers concurrent with this gather may still hold pointers into the
-    // replaced buffers; free them only after every such reader has finished
-    // (epoch protection via the GC, Section 4.4).
-    if (!old_buffers.empty() || old_metadata != nullptr) {
-      gc_->RegisterDeferredAction([old_buffers, old_metadata] {
-        for (const byte *buffer : old_buffers) delete[] buffer;
-        delete old_metadata;
-      });
-    }
-    out->blocks_frozen++;
-    frozen = true;
+  // Phase boundary: wait until every transaction that overlapped the
+  // compaction transaction has finished, so a racer that passed the status
+  // check before we set cooling either installed a visible version (caught by
+  // the gather scan) or is gone (Figure 9's fix).
+  while (txn_manager_->OldestTransactionStartTime() <= commit_ts) {
+    std::this_thread::yield();
   }
-  out->gather_us += elapsed_us;
-  return frozen;
+
+  std::vector<storage::RawBlock *> ready;
+  for (storage::RawBlock *block : survivors) {
+    // The gather scan requires all version chains pruned — including the
+    // compaction transaction's own records. Drive the GC (or wait for the
+    // dedicated GC thread) until they clear; give up and requeue if a user
+    // transaction keeps the block busy.
+    for (int attempt = 0; attempt < 64; attempt++) {
+      if (block->controller.GetState() != storage::BlockState::kCooling) break;  // preempted
+      if (table->HasActiveVersions(block)) {
+        if (pump_gc_) {
+          gc_->PerformGarbageCollection();
+        } else {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        continue;
+      }
+      ready.push_back(block);
+      break;
+    }
+  }
+  return ready;
 }
 
-bool BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock *block,
+bool BlockTransformer::GatherBlock(storage::DataTable *table, storage::RawBlock *block,
+                                   TransformStats *stats) const {
+  TransformStats local;
+  TransformStats *out = stats == nullptr ? &local : stats;
+  const common::Timer gather_timer;
+  common::Timer phase_timer;
+  const auto end_phase = [&](uint64_t *phase_us) {
+    *phase_us += phase_timer.Elapsed<>();
+    phase_timer.Restart();
+  };
+  const auto retry = [&] {
+    end_phase(&out->gather_check_us);
+    out->gather_retries++;
+    out->gather_us += gather_timer.Elapsed<>();
+    return false;
+  };
+  const storage::BlockLayout &layout = table->GetLayout();
+
+  // The single-pass scan of the version-pointer column: any residual
+  // version means a transaction raced us; requeue.
+  if (block->controller.GetState() != storage::BlockState::kCooling ||
+      table->HasActiveVersions(block)) {
+    return retry();
+  }
+  // The allocated slots must form a contiguous prefix for Arrow; otherwise
+  // the block needs another compaction pass.
+  const uint32_t filled = table->FilledSlots(block);
+  const auto *bitmap = table->Accessor().AllocationBitmap(block);
+  for (uint32_t i = 0; i < filled; i++) {
+    if (!bitmap->Test(i)) return retry();
+  }
+  // Take the exclusive lock; fails if a user transaction preempted cooling.
+  if (!block->controller.TrySetFreezing()) return retry();
+  end_phase(&out->gather_check_us);
+
+  auto *metadata = new storage::ArrowBlockMetadata(filled, layout.NumColumns());
+  std::vector<const byte *> old_buffers;
+  if (mode_ == GatherMode::kVarlenGather) {
+    GatherVarlen(table, block, filled, metadata, &old_buffers);
+  } else {
+    GatherDictionary(table, block, filled, metadata, &old_buffers);
+  }
+  end_phase(&out->gather_copy_us);
+
+  // Null counts for fixed-length columns (varlen ones are filled by the
+  // gather passes above, in the same scan).
+  for (uint16_t i = 0; i < layout.NumColumns(); i++) {
+    const storage::col_id_t col(i);
+    if (layout.IsVarlen(col)) continue;
+    auto &info = metadata->Column(i);
+    info.type = storage::ArrowColumnType::kFixed;
+    info.null_count = filled - table->Accessor().ColumnNullBitmap(block, col)->CountSet(filled);
+  }
+  end_phase(&out->gather_null_us);
+
+  storage::ArrowBlockMetadata *old_metadata = block->arrow_metadata;
+  block->arrow_metadata = metadata;
+  block->controller.SetFrozen();
+
+  // Readers concurrent with this gather may still hold pointers into the
+  // replaced buffers; free them only after every such reader has finished
+  // (epoch protection via the GC, Section 4.4).
+  if (!old_buffers.empty() || old_metadata != nullptr) {
+    gc_->RegisterDeferredAction([old_buffers, old_metadata] {
+      for (const byte *buffer : old_buffers) delete[] buffer;
+      delete old_metadata;
+    });
+  }
+  out->blocks_frozen++;
+  out->gather_us += gather_timer.Elapsed<>();
+  metrics::Transform().blocks_frozen->Add(1);
+  return true;
+}
+
+void BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock *block,
                                     uint32_t num_records,
                                     storage::ArrowBlockMetadata *metadata,
                                     std::vector<const byte *> *old_buffers) {
@@ -194,8 +238,8 @@ bool BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock
       total += reinterpret_cast<const storage::VarlenEntry *>(value)->Size();
     }
     info.null_count = null_count;
-    info.varlen.values = std::make_unique<byte[]>(total);
-    info.varlen.offsets = std::make_unique<int32_t[]>(num_records + 1);
+    info.varlen.values = std::make_unique_for_overwrite<byte[]>(total);
+    info.varlen.offsets = std::make_unique_for_overwrite<int32_t[]>(num_records + 1);
     info.varlen.values_size = total;
 
     // Second pass: copy values and repoint block entries into the gathered
@@ -220,10 +264,9 @@ bool BlockTransformer::GatherVarlen(storage::DataTable *table, storage::RawBlock
     }
     info.varlen.offsets[num_records] = static_cast<int32_t>(offset);
   }
-  return true;
 }
 
-bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
+void BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
                                         uint32_t num_records,
                                         storage::ArrowBlockMetadata *metadata,
                                         std::vector<const byte *> *old_buffers) {
@@ -258,8 +301,8 @@ bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawB
       dict_bytes += word.size();
     }
     info.dictionary_size = static_cast<uint32_t>(dictionary.size());
-    info.dictionary.values = std::make_unique<byte[]>(dict_bytes);
-    info.dictionary.offsets = std::make_unique<int32_t[]>(dictionary.size() + 1);
+    info.dictionary.values = std::make_unique_for_overwrite<byte[]>(dict_bytes);
+    info.dictionary.offsets = std::make_unique_for_overwrite<int32_t[]>(dictionary.size() + 1);
     info.dictionary.values_size = dict_bytes;
     uint64_t offset = 0;
     {
@@ -273,7 +316,7 @@ bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawB
     }
 
     // Second scan: emit codes and repoint entries at their dictionary word.
-    info.indices = std::make_unique<int32_t[]>(num_records);
+    info.indices = std::make_unique_for_overwrite<int32_t[]>(num_records);
     for (uint32_t row = 0; row < num_records; row++) {
       const storage::TupleSlot slot(block, row);
       byte *value = accessor.AccessWithNullCheck(slot, col);
@@ -295,43 +338,14 @@ bool BlockTransformer::GatherDictionary(storage::DataTable *table, storage::RawB
       }
     }
   }
-  return true;
 }
 
 uint32_t BlockTransformer::ProcessGroup(storage::DataTable *table,
                                         const std::vector<storage::RawBlock *> &group,
                                         TransformStats *stats) {
-  transaction::timestamp_t commit_ts = transaction::kInvalidTimestamp;
-  std::vector<storage::RawBlock *> survivors;
-  if (!CompactGroup(table, group, stats, &commit_ts, &survivors)) return 0;
-
-  // Phase boundary: wait until every transaction that overlapped the
-  // compaction transaction has finished, so a racer that passed the status
-  // check before we set cooling either installed a visible version (caught by
-  // the gather scan) or is gone (Figure 9's fix).
-  while (txn_manager_->OldestTransactionStartTime() <= commit_ts) {
-    std::this_thread::yield();
-  }
-
   uint32_t frozen = 0;
-  for (storage::RawBlock *block : survivors) {
-    // The gather scan requires all version chains pruned — including the
-    // compaction transaction's own records. Drive the GC (or wait for the
-    // dedicated GC thread) until they clear; give up and requeue if a user
-    // transaction keeps the block busy.
-    for (int attempt = 0; attempt < 64; attempt++) {
-      if (block->controller.GetState() != storage::BlockState::kCooling) break;  // preempted
-      if (table->HasActiveVersions(block)) {
-        if (pump_gc_) {
-          gc_->PerformGarbageCollection();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-        continue;
-      }
-      if (GatherBlock(table, block, stats)) frozen++;
-      break;
-    }
+  for (storage::RawBlock *block : PrepareGroup(table, group, stats)) {
+    if (GatherBlock(table, block, stats)) frozen++;
   }
   return frozen;
 }

@@ -26,6 +26,11 @@ enum class GatherMode : uint8_t {
 
 /// Counters reported by the transformation pipeline, used by the Figure 12-14
 /// benchmarks.
+///
+/// `gather_us` and its three Figure 12b phases are summed over gathers. A
+/// TransformPipeline pass gathers blocks on its worker pool, so in a pass's
+/// stats they are summed over the pool's tasks and can exceed the pass's
+/// wall time.
 struct TransformStats {
   uint64_t tuples_moved = 0;
   /// Blocks emptied by compaction and scheduled for release. The deferred
@@ -40,6 +45,27 @@ struct TransformStats {
   uint64_t write_set_size = 0;
   uint64_t compaction_us = 0;
   uint64_t gather_us = 0;
+  /// Gather phase: the version-pointer scan and the contiguity check.
+  uint64_t gather_check_us = 0;
+  /// Gather phase: the varlen copy, or the dictionary build.
+  uint64_t gather_copy_us = 0;
+  /// Gather phase: the null counts of the fixed-length columns.
+  uint64_t gather_null_us = 0;
+
+  /// Add every counter of `other` to this one.
+  void Add(const TransformStats &other) {
+    tuples_moved += other.tuples_moved;
+    blocks_freed += other.blocks_freed;
+    blocks_frozen += other.blocks_frozen;
+    compaction_aborts += other.compaction_aborts;
+    gather_retries += other.gather_retries;
+    write_set_size += other.write_set_size;
+    compaction_us += other.compaction_us;
+    gather_us += other.gather_us;
+    gather_check_us += other.gather_check_us;
+    gather_copy_us += other.gather_copy_us;
+    gather_null_us += other.gather_null_us;
+  }
 };
 
 /// The two-phase relaxed-Arrow-to-canonical-Arrow transformation of
@@ -59,6 +85,12 @@ struct TransformStats {
 ///
 /// Replaced buffers are reclaimed through the GC's deferred actions, so
 /// in-flight readers never observe freed memory.
+///
+/// PrepareGroup runs phase 1 and the phase boundary on the calling thread,
+/// which is the only one that may pump the GC. After it, each GatherBlock
+/// touches only its own block, so GatherBlock may run on several threads at
+/// once, one block each. Compaction and gathering feed the transform.*
+/// counters of the metrics registry, whoever drives them.
 class BlockTransformer {
  public:
   /// Callback invoked after each successful tuple movement (for index
@@ -88,36 +120,46 @@ class BlockTransformer {
                     TransformStats *stats, transaction::timestamp_t *commit_ts_out,
                     std::vector<storage::RawBlock *> *survivors_out = nullptr);
 
-  /// Run phase 2 on one block (state must be cooling).
+  /// Run phase 1 and the phase boundary: compact the group, wait until every
+  /// transaction that overlapped the compaction has finished, and clear the
+  /// survivors' version chains (pumping the GC, or waiting for its thread).
+  /// \return the survivors ready to gather: still cooling, no versions left.
+  ///         Empty if compaction aborted.
+  std::vector<storage::RawBlock *> PrepareGroup(storage::DataTable *table,
+                                                const std::vector<storage::RawBlock *> &group,
+                                                TransformStats *stats);
+
+  /// Run phase 2 on one block (state must be cooling). Safe to call for
+  /// distinct blocks on several threads at once.
   /// \return true if the block is now frozen; false if a user transaction
   ///         preempted or residual versions were found (requeue).
-  bool GatherBlock(storage::DataTable *table, storage::RawBlock *block, TransformStats *stats);
+  bool GatherBlock(storage::DataTable *table, storage::RawBlock *block,
+                   TransformStats *stats) const;
 
-  /// Full pipeline: compact, wait out overlapping transactions, gather every
-  /// surviving block. Blocking; intended for the background transformation
-  /// thread and benchmarks.
+  /// PrepareGroup, then GatherBlock on every ready block, all on the calling
+  /// thread. Blocking; used by tests and by the single-threaded benchmarks.
   /// \return number of blocks frozen.
   uint32_t ProcessGroup(storage::DataTable *table,
                         const std::vector<storage::RawBlock *> &group, TransformStats *stats);
 
   void SetMoveCallback(MoveCallback callback) { move_callback_ = std::move(callback); }
 
-  /// Whether ProcessGroup may drive the garbage collector itself while
+  /// Whether PrepareGroup may drive the garbage collector itself while
   /// waiting for version chains to clear between phases (default). Disable
   /// when a dedicated GC thread owns the collector — GC state is
-  /// single-consumer — in which case ProcessGroup waits for that thread to
+  /// single-consumer — in which case PrepareGroup waits for that thread to
   /// prune instead.
   void SetInlineGCPump(bool pump) { pump_gc_ = pump; }
 
   GatherMode Mode() const { return mode_; }
 
  private:
-  bool GatherVarlen(storage::DataTable *table, storage::RawBlock *block, uint32_t num_records,
-                    storage::ArrowBlockMetadata *metadata,
-                    std::vector<const byte *> *old_buffers);
-  bool GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
-                        uint32_t num_records, storage::ArrowBlockMetadata *metadata,
-                        std::vector<const byte *> *old_buffers);
+  static void GatherVarlen(storage::DataTable *table, storage::RawBlock *block,
+                           uint32_t num_records, storage::ArrowBlockMetadata *metadata,
+                           std::vector<const byte *> *old_buffers);
+  static void GatherDictionary(storage::DataTable *table, storage::RawBlock *block,
+                               uint32_t num_records, storage::ArrowBlockMetadata *metadata,
+                               std::vector<const byte *> *old_buffers);
 
   transaction::TransactionManager *txn_manager_;
   gc::GarbageCollector *gc_;

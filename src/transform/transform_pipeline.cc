@@ -1,5 +1,9 @@
 #include "transform/transform_pipeline.h"
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <map>
 #include <unordered_set>
 
 #include "common/timer.h"
@@ -35,40 +39,59 @@ uint32_t TransformPipeline::RunOnce(TransformStats *pass_stats) {
 
   metrics::TransformMetrics &transform_metrics = metrics::Transform();
   // Freshness lag is measured from this pass's cold-collection point to each
-  // group reaching frozen (the watch set holds no per-block timestamps, so
-  // the epochs a block waited before collection are not included).
+  // group reaching frozen, that is to the end of its last successful gather
+  // (the watch set holds no per-block timestamps, so the epochs a block
+  // waited before collection are not included).
   const common::Timer collect_timer;
-  uint32_t frozen = 0;
+  // One task per ready block, each with its own stats. A deque keeps every
+  // task in place while later groups append theirs and workers fill them.
+  struct GatherTask {
+    size_t group;
+    TransformStats stats;
+    bool frozen = false;
+    uint64_t done_us = 0;
+  };
+  std::deque<GatherTask> tasks;
   TransformStats pass;
+  size_t num_groups = 0;
   for (auto &[table, blocks] : per_table) {
     for (size_t i = 0; i < blocks.size(); i += group_size_) {
       const size_t end = std::min(blocks.size(), i + group_size_);
       const std::vector<storage::RawBlock *> group(blocks.begin() + static_cast<long>(i),
                                                    blocks.begin() + static_cast<long>(end));
-      const uint32_t group_frozen = transformer_->ProcessGroup(table, group, &pass);
-      if (group_frozen > 0) transform_metrics.freeze_lag_us->Observe(collect_timer.Elapsed<>());
-      frozen += group_frozen;
+      for (storage::RawBlock *block : transformer_->PrepareGroup(table, group, &pass)) {
+        GatherTask *task = &tasks.emplace_back(GatherTask{num_groups, {}});
+        std::function<void()> gather = [this, table = table, block, task, &collect_timer] {
+          task->frozen = transformer_->GatherBlock(table, block, &task->stats);
+          task->done_us = collect_timer.Elapsed<>();
+        };
+        // The pool shuts down only with the pipeline, so this never runs
+        // inline in practice.
+        if (!gather_pool_.SubmitTask(gather)) gather();
+      }
+      num_groups++;
     }
   }
+  gather_pool_.WaitUntilAllFinished();
+
+  uint32_t frozen = 0;
+  std::map<size_t, uint64_t> lag_us_by_group;  // only groups that froze a block
+  for (const GatherTask &task : tasks) {
+    pass.Add(task.stats);
+    if (!task.frozen) continue;
+    frozen++;
+    uint64_t &lag_us = lag_us_by_group[task.group];
+    lag_us = std::max(lag_us, task.done_us);
+  }
+  for (const auto &group : lag_us_by_group) transform_metrics.freeze_lag_us->Observe(group.second);
 
   {
     common::SpinLatch::ScopedSpinLatch guard(&stats_latch_);
-    stats_.tuples_moved += pass.tuples_moved;
-    stats_.blocks_freed += pass.blocks_freed;
-    stats_.blocks_frozen += pass.blocks_frozen;
-    stats_.compaction_aborts += pass.compaction_aborts;
-    stats_.gather_retries += pass.gather_retries;
-    stats_.write_set_size += pass.write_set_size;
-    stats_.compaction_us += pass.compaction_us;
-    stats_.gather_us += pass.gather_us;
+    stats_.Add(pass);
   }
   if (pass_stats != nullptr) *pass_stats = pass;
 
   transform_metrics.passes->Add(1);
-  transform_metrics.blocks_frozen->Add(pass.blocks_frozen);
-  transform_metrics.blocks_freed->Add(pass.blocks_freed);
-  transform_metrics.tuples_moved->Add(pass.tuples_moved);
-  transform_metrics.compaction_aborts->Add(pass.compaction_aborts);
   transform_metrics.observer_queue_depth->Set(
       static_cast<int64_t>(observer_->WatchedBlocks()));
   transform_metrics.pass_us->Observe(pass_timer.Elapsed<>());

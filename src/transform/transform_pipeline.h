@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -11,6 +12,7 @@
 #include "common/mutex.h"
 #include "common/spin_latch.h"
 #include "common/thread_annotations.h"
+#include "common/worker_pool.h"
 #include "storage/data_table.h"
 #include "storage/raw_block.h"
 #include "transform/access_observer.h"
@@ -22,6 +24,12 @@ namespace mainline::transform {
 /// candidates from the access observer, groups them per table into compaction
 /// groups, and runs the two-phase transformer over each group. Runs either on
 /// a dedicated thread (Start/Stop) or cooperatively (RunOnce).
+///
+/// A pass prepares each group on the calling thread (compaction, the phase
+/// boundary and, if enabled, GC pumping) and gathers the group's ready blocks
+/// on a worker pool the pipeline owns, one task per block, sized at the
+/// hardware concurrency. The next group's compaction overlaps the previous
+/// groups' gathers; the pass waits for every gather before it returns.
 class TransformPipeline {
  public:
   /// \param observer source of cold-block candidates (fed by the GC)
@@ -29,7 +37,10 @@ class TransformPipeline {
   /// \param group_size blocks per compaction group (Figure 14's knob)
   TransformPipeline(AccessObserver *observer, BlockTransformer *transformer,
                     uint32_t group_size)
-      : observer_(observer), transformer_(transformer), group_size_(group_size) {}
+      : observer_(observer),
+        transformer_(transformer),
+        group_size_(group_size),
+        gather_pool_(std::max(1u, std::thread::hardware_concurrency())) {}
 
   DISALLOW_COPY_AND_MOVE(TransformPipeline)
 
@@ -50,8 +61,10 @@ class TransformPipeline {
   }
 
   /// One pass: collect cold blocks, form groups, transform them. Each pass
-  /// also feeds the engine metrics registry (transform.* counters, the
-  /// observer queue-depth gauge, and the pass/freeze-lag histograms).
+  /// also feeds the engine metrics registry (transform.passes, the observer
+  /// queue-depth gauge, and the pass/freeze-lag histograms; the transformer
+  /// feeds the other transform.* counters). Not reentrant: one caller at a
+  /// time, which is the background thread while it runs.
   /// \param pass_stats when non-null, receives this pass's TransformStats
   ///        alone (the lifetime accumulation stays available via Stats()).
   /// \return number of blocks frozen in this pass.
@@ -86,6 +99,8 @@ class TransformPipeline {
   common::SpinLatch manual_latch_;
   std::vector<std::pair<storage::RawBlock *, storage::DataTable *>> manual_queue_
       GUARDED_BY(manual_latch_);
+  /// Runs the gathers of a pass; idle between passes.
+  common::WorkerPool gather_pool_;
 
   /// The background loop body.
   void Run() EXCLUDES(manual_latch_, stats_latch_, sleep_mutex_);

@@ -5,12 +5,15 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "gc/garbage_collector.h"
+#include "metrics/metrics_registry.h"
 #include "transform/access_observer.h"
 #include "transform/arrow_reader.h"
 #include "transform/block_transformer.h"
@@ -85,6 +88,59 @@ class TransformPipelineTest : public ::testing::TestWithParam<GatherMode> {
     }
     txn_manager_.Commit(txn);
     return slots;
+  }
+
+  /// A table of `blocks` and a half blocks, wide enough (about 1000 slots a
+  /// block) that several compaction groups stay cheap to fill under TSan.
+  /// Row i: id = i, name = NameFor(i) (null when i % 7 == 0), score and every
+  /// fill column = 3 * i.
+  catalog::SqlTable *WideTable(const std::string &name, int64_t blocks) {
+    std::vector<catalog::Column> columns = {{"id", catalog::TypeId::kBigInt},
+                                            {"name", catalog::TypeId::kVarchar, true},
+                                            {"score", catalog::TypeId::kBigInt}};
+    for (int i = 0; i < 120; i++) {
+      columns.emplace_back("fill" + std::to_string(i), catalog::TypeId::kBigInt);
+    }
+    catalog::SqlTable *table =
+        catalog_.GetTable(catalog_.CreateTable(name, catalog::Schema(columns)));
+    const auto slots = static_cast<int64_t>(table->UnderlyingTable().GetLayout().NumSlots());
+    const auto initializer = table->FullInitializer();
+    std::vector<byte> buffer(initializer.ProjectedRowSize() + 8);
+    auto *txn = txn_manager_.BeginTransaction();
+    for (int64_t i = 0; i < blocks * slots + slots / 2; i++) {
+      ProjectedRow *row = initializer.InitializeRow(buffer.data());
+      workload::Set<int64_t>(row, 0, i);
+      if (i % 7 == 0) {
+        row->SetNull(1);
+      } else {
+        workload::SetVarchar(row, 1, NameFor(i));
+      }
+      for (uint16_t c = 2; c < columns.size(); c++) workload::Set<int64_t>(row, c, 3 * i);
+      table->Insert(txn, *row);
+    }
+    txn_manager_.Commit(txn);
+    return table;
+  }
+
+  /// Every frozen block's zero-copy view equals a transactional read of it.
+  /// \return the number of frozen blocks
+  uint32_t ExpectFrozenBlocksMatchTransactionalReads(catalog::SqlTable *table) {
+    storage::DataTable &dt = table->UnderlyingTable();
+    uint32_t frozen = 0;
+    for (storage::RawBlock *block : dt.Blocks()) {
+      if (block->controller.GetState() != BlockState::kFrozen) continue;
+      frozen++;
+      EXPECT_TRUE(block->controller.TryAcquireRead());
+      auto batch = transform::ArrowReader::FromFrozenBlock(table->GetSchema(), dt, block);
+      auto *txn = txn_manager_.BeginTransaction();
+      auto materialized =
+          transform::ArrowReader::MaterializeBlock(table->GetSchema(), &dt, block, txn);
+      txn_manager_.Commit(txn);
+      EXPECT_TRUE(batch != nullptr && batch->Equals(*materialized));
+      batch = nullptr;
+      block->controller.ReleaseRead();
+    }
+    return frozen;
   }
 
   /// Advance enough GC epochs for every previously written block to be
@@ -450,6 +506,271 @@ TEST_P(TransformPipelineTest, StopReturnsPromptlyMidSleep) {
   const auto stop_took = std::chrono::steady_clock::now() - stop_begin;
   EXPECT_LT(stop_took, std::chrono::seconds(2))
       << "Stop() must interrupt the sleep, not wait out the period";
+}
+
+namespace {
+
+/// The bytes of `size` bytes at the start of `buffer`.
+std::string Bytes(const std::shared_ptr<arrowlite::Buffer> &buffer, uint64_t size) {
+  return std::string(reinterpret_cast<const char *>(buffer->data()), size);
+}
+
+/// Every byte an Arrow reader of a string array sees: offsets and values.
+std::string StringBytes(const arrowlite::Array &array) {
+  const auto *offsets = array.buffer(0)->data_as<int32_t>();
+  return Bytes(array.buffer(0), static_cast<uint64_t>(array.length() + 1) * sizeof(int32_t)) +
+         Bytes(array.buffer(1), static_cast<uint64_t>(offsets[array.length()]));
+}
+
+/// Every byte an Arrow reader of `array` sees: the validity bitmap plus the
+/// values (fixed), offsets and values (string), or indices and dictionary.
+std::string ArrowBytes(const arrowlite::Array &array) {
+  const auto length = static_cast<uint64_t>(array.length());
+  std::string bytes = array.validity() == nullptr ? "" : Bytes(array.validity(), (length + 7) / 8);
+  switch (array.type()) {
+    case arrowlite::Type::kString:
+      return bytes + StringBytes(array);
+    case arrowlite::Type::kDictionary:
+      return bytes + Bytes(array.buffer(0), length * sizeof(int32_t)) +
+             StringBytes(*array.dictionary());
+    default:
+      return bytes + Bytes(array.buffer(0), length * arrowlite::TypeWidth(array.type()));
+  }
+}
+
+/// The transform.* counters of a registry delta.
+std::map<std::string, uint64_t> TransformCounters(const metrics::MetricsSnapshot &delta) {
+  std::map<std::string, uint64_t> counters;
+  for (const auto &[name, value] : delta.counters) {
+    if (name.rfind("transform.", 0) == 0) counters[name] = value;
+  }
+  return counters;
+}
+
+}  // namespace
+
+/// Gathering on the pipeline's pool must freeze exactly what the inline path
+/// freezes: two tables with the same history, one frozen group by group
+/// through ProcessGroup on this thread, the other through one pooled pass,
+/// end with the same Arrow bytes, the same counters and the same registry
+/// deltas (apart from transform.passes, which only a pass counts).
+TEST_P(TransformPipelineTest, PooledPassFreezesTheSameBytesAsInlineGroups) {
+  constexpr uint32_t kGroupSize = 2;
+  catalog::SqlTable *tables[2] = {WideTable("inline", 5), WideTable("pooled", 5)};
+  // Halve every block but the last, so compaction moves tuples and each
+  // full group empties a block.
+  for (catalog::SqlTable *table : tables) {
+    auto *txn = txn_manager_.BeginTransaction();
+    const std::vector<storage::RawBlock *> blocks = table->UnderlyingTable().Blocks();
+    const uint32_t slots = table->UnderlyingTable().GetLayout().NumSlots();
+    for (size_t b = 0; b + 1 < blocks.size(); b++) {
+      for (uint32_t i = 0; i < slots; i++) {
+        if ((i + b) % 2 == 0) {
+          ASSERT_TRUE(table->Delete(txn, TupleSlot(blocks[b], i)));
+        }
+      }
+    }
+    txn_manager_.Commit(txn);
+  }
+  gc_.FullGC();
+  metrics::MetricsRegistry &registry = metrics::MetricsRegistry::Global();
+
+  storage::DataTable &inline_dt = tables[0]->UnderlyingTable();
+  transform::TransformStats inline_stats;
+  const metrics::MetricsSnapshot before_inline = registry.Snapshot();
+  const std::vector<storage::RawBlock *> inline_blocks = inline_dt.Blocks();
+  uint64_t groups_that_froze = 0;
+  for (size_t i = 0; i < inline_blocks.size(); i += kGroupSize) {
+    const std::vector<storage::RawBlock *> group(
+        inline_blocks.begin() + static_cast<long>(i),
+        inline_blocks.begin() + static_cast<long>(std::min(inline_blocks.size(), i + kGroupSize)));
+    if (transformer_.ProcessGroup(&inline_dt, group, &inline_stats) > 0) groups_that_froze++;
+  }
+  const auto inline_delta = TransformCounters(registry.Snapshot().Delta(before_inline));
+
+  storage::DataTable &pooled_dt = tables[1]->UnderlyingTable();
+  transform::TransformPipeline pipeline(&observer_, &transformer_, kGroupSize);
+  pipeline.SetTableFilter([&](storage::DataTable *table) { return table == &pooled_dt; });
+  pipeline.EnqueueTable(&pooled_dt);
+  transform::TransformStats pooled_stats;
+  const metrics::MetricsSnapshot before_pooled = registry.Snapshot();
+  pipeline.RunOnce(&pooled_stats);
+  const metrics::MetricsSnapshot pooled_snapshot = registry.Snapshot().Delta(before_pooled);
+  auto pooled_delta = TransformCounters(pooled_snapshot);
+  gc_.FullGC();
+  // The pass observes the freeze lag once per group that froze, not per task.
+  EXPECT_GT(groups_that_froze, 1u);
+  EXPECT_EQ(pooled_snapshot.histograms.at("transform.freeze_lag_us").total, groups_that_froze);
+
+  EXPECT_GT(inline_stats.tuples_moved, 0u);
+  EXPECT_GT(inline_stats.blocks_freed, 0u);
+  EXPECT_EQ(inline_stats.tuples_moved, pooled_stats.tuples_moved);
+  EXPECT_EQ(inline_stats.blocks_freed, pooled_stats.blocks_freed);
+  EXPECT_EQ(inline_stats.blocks_frozen, pooled_stats.blocks_frozen);
+  EXPECT_EQ(inline_stats.compaction_aborts, pooled_stats.compaction_aborts);
+  EXPECT_EQ(inline_stats.gather_retries, pooled_stats.gather_retries);
+  EXPECT_EQ(inline_stats.write_set_size, pooled_stats.write_set_size);
+
+  EXPECT_EQ(inline_delta.at("transform.passes"), 0u);
+  EXPECT_EQ(pooled_delta.at("transform.passes"), 1u);
+  pooled_delta["transform.passes"] = 0;
+  EXPECT_EQ(inline_delta, pooled_delta);
+  EXPECT_EQ(inline_delta.at("transform.blocks_frozen"), inline_stats.blocks_frozen);
+
+  ASSERT_EQ(inline_dt.Blocks().size(), pooled_dt.Blocks().size());
+  for (size_t b = 0; b < inline_dt.Blocks().size(); b++) {
+    storage::RawBlock *inline_block = inline_dt.Blocks()[b];
+    storage::RawBlock *pooled_block = pooled_dt.Blocks()[b];
+    // Compaction may empty the insertion block, which stays attached and
+    // cooling; every other block freezes.
+    ASSERT_EQ(inline_block->controller.GetState(), pooled_block->controller.GetState());
+    if (inline_block->controller.GetState() != BlockState::kFrozen) {
+      EXPECT_EQ(inline_dt.FilledSlots(inline_block), 0u);
+      continue;
+    }
+    ASSERT_TRUE(inline_block->controller.TryAcquireRead());
+    ASSERT_TRUE(pooled_block->controller.TryAcquireRead());
+    auto inline_batch =
+        transform::ArrowReader::FromFrozenBlock(tables[0]->GetSchema(), inline_dt, inline_block);
+    auto pooled_batch =
+        transform::ArrowReader::FromFrozenBlock(tables[1]->GetSchema(), pooled_dt, pooled_block);
+    ASSERT_NE(inline_batch, nullptr);
+    ASSERT_NE(pooled_batch, nullptr);
+    ASSERT_EQ(inline_batch->num_rows(), pooled_batch->num_rows());
+    for (int c = 0; c < inline_batch->num_columns(); c++) {
+      EXPECT_EQ(ArrowBytes(*inline_batch->column(c)), ArrowBytes(*pooled_batch->column(c)))
+          << "block " << b << " column " << c;
+    }
+    inline_batch = nullptr;
+    pooled_batch = nullptr;
+    inline_block->controller.ReleaseRead();
+    pooled_block->controller.ReleaseRead();
+  }
+}
+
+/// Pooled passes over two tables of several groups each, raced by a writer
+/// that bumps random scores and a reader that sums the scores through
+/// ArrowReader::ReadBlock. Every snapshot sum must match the writer's
+/// commits, and afterwards every block is frozen with the contents of a
+/// transactional read, or hot and handed out again by the observer.
+TEST_P(TransformPipelineTest, PooledPassesRaceAWriterAndABlockReader) {
+  catalog::SqlTable *tables[2] = {WideTable("s0", 6), WideTable("s1", 6)};
+  std::vector<std::vector<TupleSlot>> slots(2);
+  int64_t initial_sum = 0;
+  for (int t = 0; t < 2; t++) {
+    for (auto it = tables[t]->begin(); !it.Done(); ++it) slots[t].push_back(*it);
+    const auto rows = static_cast<int64_t>(slots[t].size());
+    initial_sum += 3 * rows * (rows - 1) / 2;
+  }
+  gc_.FullGC();
+  // Groups of two: each table spans at least three groups.
+  transform::TransformPipeline pipeline(&observer_, &transformer_, /*group_size=*/2);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> commits{0};
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> bad_sums{0};
+  std::thread writer([&] {
+    std::mt19937_64 random(42);
+    const auto score = tables[0]->InitializerForColumns({2});
+    std::vector<byte> buffer(score.ProjectedRowSize() + 8);
+    while (!stop.load(std::memory_order_acquire)) {
+      const size_t t = random() % 2;
+      const TupleSlot slot = slots[t][random() % slots[t].size()];
+      auto *txn = txn_manager_.BeginTransaction();
+      ProjectedRow *row = score.InitializeRow(buffer.data());
+      if (!tables[t]->Select(txn, slot, row)) {
+        txn_manager_.Abort(txn);
+        continue;
+      }
+      workload::Set<int64_t>(row, 0, workload::Get<int64_t>(*row, 0) + 1);
+      if (!tables[t]->Update(txn, slot, *row)) {
+        txn_manager_.Abort(txn);
+        continue;
+      }
+      txn_manager_.Commit(txn);
+      commits.fetch_add(1, std::memory_order_release);
+      // A write every half millisecond or so: hot enough to preempt some
+      // freezes, cool enough to let others finish even under TSan.
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  std::thread reader([&] {
+    const std::vector<uint16_t> projection = {2};
+    while (!stop.load(std::memory_order_acquire)) {
+      const uint64_t commits_before = commits.load(std::memory_order_acquire);
+      auto *txn = txn_manager_.BeginTransaction();
+      int64_t sum = 0;
+      for (catalog::SqlTable *table : tables) {
+        storage::DataTable &dt = table->UnderlyingTable();
+        for (storage::RawBlock *block : dt.Blocks()) {
+          transform::BlockRead read =
+              transform::ArrowReader::ReadBlock(table->GetSchema(), &dt, block, txn, &projection);
+          for (int64_t i = 0; i < read.NumRows(); i++) sum += read.Column(0).Value<int64_t>(i);
+        }
+      }
+      txn_manager_.Commit(txn);
+      const uint64_t commits_after = commits.load(std::memory_order_acquire);
+      // The snapshot sees every commit counted before it began, and at most
+      // one more than were counted once it ended (the writer counts a commit
+      // just after making it).
+      const int64_t gained = sum - initial_sum;
+      if (gained < static_cast<int64_t>(commits_before) ||
+          gained > static_cast<int64_t>(commits_after) + 1) {
+        bad_sums.fetch_add(1);
+      }
+      reads.fetch_add(1, std::memory_order_release);
+    }
+  });
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  int passes = 0;
+  while (std::chrono::steady_clock::now() < deadline &&
+         (passes < 6 || reads.load() < 3 || commits.load() < 100 ||
+          pipeline.Stats().blocks_frozen == 0)) {
+    for (catalog::SqlTable *table : tables) pipeline.EnqueueTable(&table->UnderlyingTable());
+    pipeline.RunOnce();
+    gc_.PerformGarbageCollection();
+    passes++;
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  reader.join();
+  gc_.FullGC();
+
+  EXPECT_GE(reads.load(), 3u);
+  EXPECT_GE(commits.load(), 100u);
+  EXPECT_EQ(bad_sums.load(), 0u);
+  EXPECT_GT(pipeline.Stats().blocks_frozen, 0u);
+
+  int64_t final_sum = 0;
+  auto *txn = txn_manager_.BeginTransaction();
+  for (catalog::SqlTable *table : tables) {
+    storage::DataTable &dt = table->UnderlyingTable();
+    for (storage::RawBlock *block : dt.Blocks()) {
+      transform::BlockRead read = transform::ArrowReader::ReadBlock(table->GetSchema(), &dt,
+                                                                    block, txn);
+      for (int64_t i = 0; i < read.NumRows(); i++) final_sum += read.Column(2).Value<int64_t>(i);
+    }
+  }
+  txn_manager_.Commit(txn);
+  EXPECT_EQ(final_sum - initial_sum, static_cast<int64_t>(commits.load()));
+
+  for (catalog::SqlTable *table : tables) {
+    ExpectFrozenBlocksMatchTransactionalReads(table);
+    for (storage::RawBlock *block : table->UnderlyingTable().Blocks()) {
+      const BlockState state = block->controller.GetState();
+      EXPECT_TRUE(state == BlockState::kFrozen || state == BlockState::kHot);
+    }
+  }
+  // The hot blocks come back through the observer alone: no manual enqueue.
+  AdvancePastColdThreshold();
+  pipeline.RunOnce();
+  for (catalog::SqlTable *table : tables) {
+    EXPECT_EQ(ExpectFrozenBlocksMatchTransactionalReads(table),
+              table->UnderlyingTable().Blocks().size());
+  }
+  gc_.FullGC();
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TransformPipelineTest,

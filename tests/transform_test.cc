@@ -220,6 +220,49 @@ TEST_P(TransformTest, GatherYieldsToActiveVersions) {
   gc_.FullGC();
 }
 
+/// A value updated to null must leave zeros behind, not its old bytes: a
+/// frozen block hands its value buffers to readers and exporters as they are.
+TEST_P(TransformTest, NullUpdateZeroesFrozenValueBytes) {
+  const catalog::Schema schema({{"id", catalog::TypeId::kBigInt},
+                                {"v", catalog::TypeId::kBigInt, true}});
+  catalog::SqlTable *table = catalog_.GetTable(catalog_.CreateTable("nulls", schema));
+  constexpr int64_t kPattern = 0x5a5a5a5a5a5a5a5a;
+  const auto full = table->FullInitializer();
+  std::vector<byte> buffer(full.ProjectedRowSize() + 8);
+  std::vector<TupleSlot> slots;
+  auto *txn = txn_manager_.BeginTransaction();
+  for (int64_t i = 0; i < 100; i++) {
+    ProjectedRow *row = full.InitializeRow(buffer.data());
+    workload::Set<int64_t>(row, 0, i);
+    workload::Set<int64_t>(row, 1, kPattern);
+    slots.push_back(table->Insert(txn, *row));
+  }
+  txn_manager_.Commit(txn);
+
+  const auto only_v = table->InitializerForColumns({1});
+  std::vector<byte> delta_buffer(only_v.ProjectedRowSize() + 8);
+  txn = txn_manager_.BeginTransaction();
+  ProjectedRow *delta = only_v.InitializeRow(delta_buffer.data());
+  delta->SetNull(0);
+  ASSERT_TRUE(table->Update(txn, slots[10], *delta));
+  txn_manager_.Commit(txn);
+  gc_.FullGC();
+
+  BlockTransformer transformer(&txn_manager_, &gc_, GetParam());
+  storage::DataTable &dt = table->UnderlyingTable();
+  storage::RawBlock *block = slots[10].GetBlock();
+  ASSERT_EQ(transformer.ProcessGroup(&dt, {block}, nullptr), 1u);
+  ASSERT_TRUE(block->controller.TryAcquireRead());
+  auto batch = transform::ArrowReader::FromFrozenBlock(schema, dt, block);
+  ASSERT_NE(batch, nullptr);
+  const int64_t row = slots[10].GetOffset();
+  EXPECT_TRUE(batch->column(1)->IsNull(row));
+  EXPECT_EQ(batch->column(1)->Value<int64_t>(row), 0) << "stale bytes under a null";
+  EXPECT_EQ(batch->column(1)->Value<int64_t>(row + 1), kPattern);
+  block->controller.ReleaseRead();
+  gc_.FullGC();
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, TransformTest,
                          ::testing::Values(GatherMode::kVarlenGather,
                                            GatherMode::kDictionaryCompression),
